@@ -283,41 +283,6 @@ def measure_eigensolver() -> dict:
     return out
 
 
-def measure_array_dispatch() -> dict:
-    """The array backend's dispatched QPE kernel vs the legacy numpy path.
-
-    Recorded as *data*, never gated: on the default CI leg the only
-    importable namespace is numpy, where the dispatched kernel computes
-    the same broadcast at the same speed — the measurement exists so the
-    trajectory shows the dispatch overhead is nil and lights up with real
-    numbers on hosts where torch/CuPy is installed.  Equality against the
-    legacy kernel *is* asserted (tolerance-based, as everywhere the
-    array backend is compared).
-    """
-    from repro.linalg import default_namespace_name, dispatch_scope
-
-    phases = kernel_phases()
-    legacy = batch_kernel_build(phases)
-    plain_seconds = best_seconds(lambda: batch_kernel_build(phases), repeats=3)
-
-    def dispatched_build():
-        with dispatch_scope():
-            return batch_kernel_build(phases)
-
-    dispatched = dispatched_build()
-    if not np.allclose(dispatched, legacy, atol=1e-9):
-        raise AssertionError("dispatched QPE kernel differs from the legacy build")
-    dispatched_seconds = best_seconds(dispatched_build, repeats=3)
-    return {
-        "namespace": default_namespace_name(),
-        "num_phases": KERNEL_PHASES,
-        "precision_bits": KERNEL_PRECISION,
-        "plain_seconds": plain_seconds,
-        "dispatched_seconds": dispatched_seconds,
-        "relative": plain_seconds / dispatched_seconds,
-    }
-
-
 def trend_metrics(results: dict) -> dict:
     """The speedup metrics compared across PR entries by the trend gate.
 
@@ -497,7 +462,6 @@ def main(argv=None) -> int:
         "store": measure_store(),
         "readout_shards": measure_readout_shards(),
         "eigensolver": measure_eigensolver(),
-        "array_dispatch": measure_array_dispatch(),
     }
     gates = evaluate_gates(results)
     summary = {

@@ -13,19 +13,8 @@ from repro.baselines.rw_laplacian import (
 )
 from repro.baselines.disim import DiSimClustering, disim_embedding
 from repro.baselines.naive import AdjacencyKMeans
-from repro.baselines.nystrom import NystromSpectralClustering, nystrom_embedding
-from repro.baselines.label_propagation import (
-    LabelPropagationClustering,
-    PropagationResult,
-    label_propagation,
-)
 
 __all__ = [
-    "NystromSpectralClustering",
-    "nystrom_embedding",
-    "LabelPropagationClustering",
-    "PropagationResult",
-    "label_propagation",
     "SymmetrizedSpectralClustering",
     "symmetrized_laplacian",
     "RandomWalkSpectralClustering",

@@ -103,10 +103,8 @@ class QSCConfig:
         ``"auto"`` (default — dense below 256 nodes, sparse CSR with the
         LOBPCG midrange eigensolver up to 4096, sparse + ``eigsh``
         beyond), ``"dense"``, ``"sparse"``, or ``"array"`` (array-API
-        device arrays — CuPy/torch when importable, numpy fallback —
-        which also routes the QPE/tomography hot paths through the
-        device); see ``repro.linalg``.  Exposed on the CLI as
-        ``--backend``.
+        device arrays — CuPy/torch when importable, numpy fallback);
+        see ``repro.linalg``.  Exposed on the CLI as ``--backend``.
     evolution:
         ``"exact"`` Hamiltonian exponential or ``"trotter"`` product
         formula (circuit backend only).

@@ -27,7 +27,6 @@ from repro.graphs.bench_parser import (
     parse_bench,
     write_bench,
 )
-from repro.graphs.refinement import FMResult, cut_size, fm_bipartition_refine
 from repro.graphs import io
 
 __all__ = [
@@ -58,8 +57,5 @@ __all__ = [
     "load_s27",
     "parse_bench",
     "write_bench",
-    "FMResult",
-    "cut_size",
-    "fm_bipartition_refine",
     "io",
 ]

@@ -9,12 +9,15 @@ attached for netlist provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.linalg import resolve_backend
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,10 @@ class Edge:
     def __post_init__(self):
         if self.u == self.v:
             raise GraphError(f"self-loop on node {self.u} is not allowed")
-        if self.weight <= 0:
-            raise GraphError(f"edge weight must be positive, got {self.weight}")
+        if not 0 < self.weight < np.inf:
+            raise GraphError(
+                f"edge weight must be positive and finite, got {self.weight}"
+            )
 
 
 class MixedGraph:
@@ -81,8 +86,8 @@ class MixedGraph:
         u, v = self._check_node(u), self._check_node(v)
         if u == v:
             raise GraphError(f"self-loop on node {u} is not allowed")
-        if weight <= 0:
-            raise GraphError(f"edge weight must be positive, got {weight}")
+        if not 0 < weight < np.inf:
+            raise GraphError(f"edge weight must be positive and finite, got {weight}")
         key = (min(u, v), max(u, v))
         if (u, v) in self._directed or (v, u) in self._directed:
             raise GraphError(f"nodes {u},{v} already share an arc; remove it first")
@@ -93,8 +98,8 @@ class MixedGraph:
         source, target = self._check_node(source), self._check_node(target)
         if source == target:
             raise GraphError(f"self-loop on node {source} is not allowed")
-        if weight <= 0:
-            raise GraphError(f"arc weight must be positive, got {weight}")
+        if not 0 < weight < np.inf:
+            raise GraphError(f"arc weight must be positive and finite, got {weight}")
         key = (min(source, target), max(source, target))
         if key in self._undirected:
             raise GraphError(
@@ -217,8 +222,11 @@ class MixedGraph:
         loops = u == v
         if loops.any():
             raise GraphError(f"self-loop on node {u[loops][0]} is not allowed")
-        if weights.min() <= 0:
-            raise GraphError(f"edge weight must be positive, got {weights.min()}")
+        valid = np.isfinite(weights) & (weights > 0)
+        if not valid.all():
+            raise GraphError(
+                f"edge weight must be positive and finite, got {weights[~valid][0]}"
+            )
 
     # -- accessors -----------------------------------------------------------
 
@@ -355,6 +363,8 @@ class MixedGraph:
     def to_networkx(self) -> nx.DiGraph:
         """Export as a DiGraph; undirected edges become arc pairs tagged
         ``mixed='undirected'``."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self._num_nodes))
         for (u, v), w in self._undirected.items():

@@ -14,43 +14,22 @@ namespace.  Host/device transfers happen only at the contract boundary:
 * **out** — :meth:`ArrayBackend.to_dense` and
   :meth:`ArrayBackend.lowest_eigenpairs` move results back; the
   eigensolve itself runs on host LAPACK (``eigh``), because the small
-  k-lowest eigenproblem is transfer-dominated and host LAPACK is exact —
-  the device earns its keep on the O(n²·K) matmul hot paths below.
+  k-lowest eigenproblem is transfer-dominated and host LAPACK is exact.
 
-Consumers stay oblivious: everything between the boundaries speaks the
-array-API surface (``xp.sin``, ``xp.where``, ``@``), so the same code
-runs on numpy, torch or CuPy arrays.
-
-Hot-path dispatch
------------------
-The pipeline's three dense hot paths — the QPE outcome-distribution
-broadcast, ``tomography_estimate_batch``'s magnitude/phasor arithmetic
-and the circuit backend's ``F† @ cols`` uncompute collapse — route
-through the module-level ``dispatched_*`` helpers.  Each helper computes
-on the *active* namespace and returns a host array, or returns ``None``
-when no dispatch scope is active — in which case the caller runs its
-original numpy expressions, byte-identically to the pre-dispatch code
-(the default ``dense``/``sparse`` golden digests depend on this).
-
-A scope is activated per pipeline run (never globally) by
-:func:`pipeline_dispatch`, which :meth:`QSCPipeline.run` enters exactly
-when ``QSCConfig.linalg_backend == "array"``; a process that runs an
-``array`` fit followed by a ``dense`` fit therefore produces bit-exact
-legacy output for the second fit.  Scopes nest (a stack) and are
-process-local; the draw-stage thread pools never touch dispatch state.
+Between the boundaries the row/column scalings run on the device
+through the array-API surface (broadcast ``*``), so the same code runs
+on numpy, torch or CuPy arrays.  The QPE, tomography and q-means stages
+always compute on host numpy.
 """
 
 from __future__ import annotations
-
-import contextlib
-import math
 
 import numpy as np
 
 from repro.exceptions import ConvergenceError
 from repro.linalg.backends import LinalgBackend, BackendError, to_dense_array
 
-#: Preference order of the dispatch namespaces: CUDA first, torch second
+#: Preference order of the array namespaces: CUDA first, torch second
 #: (works on CPU too), numpy as the always-available fallback.
 NAMESPACE_ORDER = ("cupy", "torch", "numpy")
 
@@ -150,7 +129,7 @@ def _load_namespace(name: str) -> ArrayNamespace | None:
 
 
 def available_namespaces() -> tuple[str, ...]:
-    """Names of the importable dispatch namespaces, in preference order."""
+    """Names of the importable array namespaces, in preference order."""
     return tuple(
         name for name in NAMESPACE_ORDER if _load_namespace(name) is not None
     )
@@ -262,123 +241,3 @@ class ArrayBackend(LinalgBackend):
         values, vectors = np.linalg.eigh(host)
         return values[:k], vectors[:, :k]
 
-
-# -- hot-path dispatch -----------------------------------------------------
-
-#: Stack of active dispatch namespaces; empty = dispatch inactive and the
-#: hot paths run their original numpy expressions byte-identically.
-_DISPATCH_STACK: list[ArrayNamespace] = []
-
-
-def active_namespace() -> ArrayNamespace | None:
-    """The namespace hot paths dispatch to, or ``None`` when inactive."""
-    return _DISPATCH_STACK[-1] if _DISPATCH_STACK else None
-
-
-@contextlib.contextmanager
-def dispatch_scope(namespace=None):
-    """Activate hot-path dispatch to ``namespace`` for the enclosed block."""
-    resolved = resolve_namespace(namespace)
-    _DISPATCH_STACK.append(resolved)
-    try:
-        yield resolved
-    finally:
-        _DISPATCH_STACK.pop()
-
-
-@contextlib.contextmanager
-def pipeline_dispatch(backend_spec):
-    """Dispatch scope of one pipeline run.
-
-    Active exactly when the run's linalg backend is ``"array"`` (the
-    spec may be the name or an :class:`ArrayBackend` instance); any
-    other backend yields a no-op scope, so dense/sparse runs in the same
-    process — including ones *after* an array run — execute the
-    unchanged numpy hot paths bit-exactly.
-    """
-    if backend_spec == "array":
-        with dispatch_scope() as namespace:
-            yield namespace
-    elif isinstance(backend_spec, ArrayBackend):
-        with dispatch_scope(backend_spec.adapter) as namespace:
-            yield namespace
-    else:
-        yield None
-
-
-def dispatched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """``a @ b`` on the active device, or ``None`` when dispatch is off.
-
-    The circuit backend's ``F† @ cols`` uncompute collapse routes here:
-    both operands transfer in, the product transfers out — one round
-    trip around the O(dim²·K) contraction that dominates batched
-    gate-level readout.
-    """
-    namespace = active_namespace()
-    if namespace is None:
-        return None
-    device = namespace.asarray(a) @ namespace.asarray(b)
-    return namespace.asnumpy(device)
-
-
-def dispatched_outcome_distributions(
-    phases: np.ndarray, precision: int
-) -> np.ndarray | None:
-    """Device-side QPE Dirichlet-kernel broadcast, or ``None`` if inactive.
-
-    Same closed form as the numpy block in
-    :func:`repro.quantum.phase_estimation.qpe_outcome_distributions`
-    (which remains the byte-exact reference when dispatch is off);
-    device FMA ordering may differ in the last ulps, which is why the
-    array backend is property-tested tolerance-based.
-    """
-    namespace = active_namespace()
-    if namespace is None:
-        return None
-    xp = namespace.xp
-    size = 2**precision
-    device_phases = namespace.asarray(np.asarray(phases, dtype=float))
-    outcomes = namespace.asarray(np.arange(size, dtype=float) / size)
-    delta = device_phases[:, None] - outcomes[None, :]
-    sin_delta = xp.sin(math.pi * delta)
-    numerator = xp.sin(math.pi * size * delta) ** 2
-    denominator = (size * sin_delta) ** 2
-    near_zero = xp.abs(sin_delta) <= 1e-12
-    ones = xp.ones_like(denominator)
-    probs = xp.where(near_zero, ones, numerator / xp.where(near_zero, ones, denominator))
-    totals = xp.sum(probs, axis=1)
-    off = xp.abs(totals - 1.0) > 1e-8
-    probs = xp.where(off[:, None], probs / totals[:, None], probs)
-    return namespace.asnumpy(probs)
-
-
-def dispatched_squared_magnitudes(states: np.ndarray) -> np.ndarray | None:
-    """``|states|²`` elementwise on the active device (``None`` if off).
-
-    The one squared-magnitude pass of ``tomography_estimate_batch``
-    serves normalization, the multinomial pvals and the phase-noise
-    scale — at (rows × dim) batch sizes it is the largest deterministic
-    array op on the tomography path.
-    """
-    namespace = active_namespace()
-    if namespace is None:
-        return None
-    xp = namespace.xp
-    device = namespace.asarray(states)
-    return namespace.asnumpy(xp.real(device) ** 2 + xp.imag(device) ** 2)
-
-
-def dispatched_unit_phasors(phases: np.ndarray) -> np.ndarray | None:
-    """``cos(phases) + i·sin(phases)`` on the active device (``None`` if off).
-
-    Tomography's estimate assembly multiplies these unit phasors by the
-    estimated magnitudes; the trigonometry is the dispatchable part —
-    the fancy-indexed scatter stays on host.
-    """
-    namespace = active_namespace()
-    if namespace is None:
-        return None
-    xp = namespace.xp
-    device = namespace.asarray(np.asarray(phases, dtype=float))
-    cos, sin = namespace.asnumpy(xp.cos(device)), namespace.asnumpy(xp.sin(device))
-    return cos + 1j * sin

@@ -8,12 +8,6 @@ from repro.metrics.clustering_metrics import (
     misclassified_count,
     normalized_mutual_information,
 )
-from repro.metrics.conductance import (
-    cheeger_upper_bound,
-    normalized_cut,
-    partition_conductance,
-    set_conductance,
-)
 from repro.metrics.graph_metrics import (
     cut_imbalance,
     cut_weight,
@@ -24,10 +18,6 @@ from repro.metrics.graph_metrics import (
 )
 
 __all__ = [
-    "cheeger_upper_bound",
-    "normalized_cut",
-    "partition_conductance",
-    "set_conductance",
     "adjusted_rand_index",
     "clustering_report",
     "contingency_table",

@@ -33,7 +33,6 @@ from repro.core.config import QSCConfig
 from repro.core.qpe_engine import spectral_cache_stats
 from repro.core.result import QSCResult
 from repro.exceptions import ClusteringError
-from repro.linalg.array_backend import pipeline_dispatch
 from repro.pipeline import checkpoint, telemetry
 from repro.pipeline.stage import StageContext
 from repro.pipeline.stages import STAGE_NAMES, build_stages
@@ -184,15 +183,10 @@ class QSCPipeline:
         )
         reports = []
         degraded: list[str] = []
-        # Hot-path dispatch is scoped to this run: active exactly when the
-        # config selects the ``array`` backend, a no-op otherwise — so
-        # dense/sparse runs (including ones after an array run in the same
-        # process) execute the unchanged numpy hot paths bit-exactly.
-        with pipeline_dispatch(cfg.linalg_backend):
-            self._run_stages(
-                ctx, reports, degraded, resume_index, upstream,
-                stages_dir, save_stages, store,
-            )
+        self._run_stages(
+            ctx, reports, degraded, resume_index, upstream,
+            stages_dir, save_stages, store,
+        )
 
         if degraded:
             # Mark the state so reusing it in memory (``upstream=

@@ -74,13 +74,6 @@ from repro.quantum.amplitude import (
     mle_amplitude_estimation,
     success_probability,
 )
-from repro.quantum.transpile import (
-    TranspileCounts,
-    multi_controlled_counts,
-    transpile_counts,
-    two_level_decompose,
-    unitary_counts,
-)
 from repro.quantum.qram import KPTree, QRAM
 from repro.quantum.walks import (
     QuantumWalk,
@@ -151,11 +144,6 @@ __all__ = [
     "grover_operator",
     "mle_amplitude_estimation",
     "success_probability",
-    "TranspileCounts",
-    "multi_controlled_counts",
-    "transpile_counts",
-    "two_level_decompose",
-    "unitary_counts",
     "KPTree",
     "QRAM",
     "QPEResources",

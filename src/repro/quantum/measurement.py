@@ -28,10 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import EncodingError
-from repro.linalg.array_backend import (
-    dispatched_squared_magnitudes,
-    dispatched_unit_phasors,
-)
 from repro.utils.rng import ensure_rng, run_per_stream
 
 
@@ -144,9 +140,7 @@ def tomography_estimate_batch(
         raise EncodingError(f"shots must be non-negative, got {shots}")
     # One squared-magnitude pass serves normalization, the multinomial
     # pvals and the phase-noise scale.
-    squared = dispatched_squared_magnitudes(states)
-    if squared is None:
-        squared = states.real**2 + states.imag**2
+    squared = states.real**2 + states.imag**2
     squared_norms = np.sum(squared, axis=-1)
     if num_rows and squared_norms.min() < 1e-28:
         raise EncodingError("cannot tomograph the zero vector")
@@ -206,12 +200,8 @@ def tomography_estimate_batch(
     phases = np.arctan2(states.imag[observed], states.real[observed]) + noise
     values = magnitudes[observed]
     estimates = np.zeros((num_rows, dim), dtype=complex)
-    phasors = dispatched_unit_phasors(phases)
-    if phasors is not None:
-        estimates[observed] = values * phasors
-    else:
-        estimates.real[observed] = values * np.cos(phases)
-        estimates.imag[observed] = values * np.sin(phases)
+    estimates.real[observed] = values * np.cos(phases)
+    estimates.imag[observed] = values * np.sin(phases)
     # ||estimate||² = Σ counts/magnitude_shots = 1 up to rounding (the
     # multinomial distributes every shot), so the renormalization below is
     # a guard against accumulated rounding; the basis-state fallback can

@@ -32,7 +32,7 @@ def pytest_collection_modifyitems(config, items):
     """Skip ``requires_array_api`` tests where only numpy is importable.
 
     The array backend's numpy fallback is covered unconditionally; tests
-    marked ``requires_array_api`` exercise a real non-numpy dispatch
+    marked ``requires_array_api`` exercise a real non-numpy array
     namespace (torch/CuPy) and only run on hosts — like the dedicated CI
     leg — that install one.
     """

@@ -1,13 +1,30 @@
 """Tests for the MixedGraph container."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.exceptions import GraphError
-from repro.graphs import MixedGraph, random_mixed_graph
+from repro.graphs import MixedGraph, io, random_mixed_graph
 from repro.graphs.mixed_graph import Edge
+
+#: Every public way a weight enters a graph, each adding one 0-1
+#: connection of weight ``w``.
+WEIGHT_ENTRY_POINTS = {
+    "add_edge": lambda w: MixedGraph(2).add_edge(0, 1, w),
+    "add_arc": lambda w: MixedGraph(2).add_arc(0, 1, w),
+    "Edge": lambda w: Edge(0, 1, w),
+    "add_edges": lambda w: MixedGraph(2).add_edges(np.array([[0, 1, w]])),
+    "add_arcs": lambda w: MixedGraph(2).add_arcs(np.array([[0, 1, w]])),
+    "io.loads": lambda w: io.loads(f"n 2\ne 0 1 {w}\n"),
+}
 
 
 class TestConstruction:
@@ -55,6 +72,12 @@ class TestEdgesAndArcs:
             g.add_edge(0, 1, weight=0.0)
         with pytest.raises(GraphError):
             g.add_arc(0, 1, weight=-2.0)
+
+    @pytest.mark.parametrize("entry", sorted(WEIGHT_ENTRY_POINTS))
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, entry, weight):
+        with pytest.raises(GraphError, match="positive and finite"):
+            WEIGHT_ENTRY_POINTS[entry](weight)
 
     def test_node_out_of_range(self):
         with pytest.raises(GraphError):
@@ -135,6 +158,21 @@ class TestConversions:
         assert back.num_edges == g.num_edges
         assert back.num_arcs == g.num_arcs
         assert np.allclose(back.symmetrized_adjacency(), g.symmetrized_adjacency())
+
+    def test_import_leaves_networkx_unloaded(self):
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
+        probe = "import sys, repro.api; print('networkx' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_from_undirected_networkx(self):
         nxg = nx.path_graph(4)

@@ -6,11 +6,6 @@ The array backend holds dense device arrays of one array-API namespace
 Equivalence here is *tolerance-based* rather than byte-exact — accelerator
 FMA ordering legitimately differs in the last ulps — mirroring how
 dense↔sparse equivalence is pinned in ``test_dense_sparse_equivalence``.
-
-The second half covers the hot-path dispatch helpers: inactive scopes must
-return ``None`` (so the default dense/sparse pipelines run their original
-numpy expressions byte-identically — the golden digests depend on it), and
-active scopes must match the legacy numpy results to tolerance.
 """
 
 import numpy as np
@@ -22,24 +17,14 @@ from repro.linalg import (
     ArrayBackend,
     BackendError,
     DenseBackend,
-    active_namespace,
     as_backend_matrix,
     available_namespaces,
     default_namespace_name,
-    dispatch_scope,
     get_backend,
-    pipeline_dispatch,
     resolve_backend,
     resolve_namespace,
     to_dense_array,
 )
-from repro.linalg.array_backend import (
-    dispatched_matmul,
-    dispatched_outcome_distributions,
-    dispatched_squared_magnitudes,
-    dispatched_unit_phasors,
-)
-from repro.quantum.phase_estimation import qpe_outcome_distributions
 
 
 def random_hermitian(n, seed):
@@ -143,101 +128,6 @@ class TestContractEquivalence:
         assert np.allclose(backend.to_dense(device), dense, atol=1e-10)
 
 
-class TestDispatchScoping:
-    def test_inactive_by_default(self):
-        assert active_namespace() is None
-        assert dispatched_matmul(np.eye(2), np.eye(2)) is None
-        assert dispatched_outcome_distributions(np.array([0.25]), 3) is None
-        assert dispatched_squared_magnitudes(np.ones(3, dtype=complex)) is None
-        assert dispatched_unit_phasors(np.zeros(3)) is None
-
-    def test_scope_activates_and_restores(self):
-        with dispatch_scope("numpy") as namespace:
-            assert active_namespace() is namespace
-            assert namespace.name == "numpy"
-        assert active_namespace() is None
-
-    def test_scopes_nest_as_a_stack(self):
-        with dispatch_scope("numpy") as outer:
-            with dispatch_scope("numpy") as inner:
-                assert active_namespace() is inner
-            assert active_namespace() is outer
-        assert active_namespace() is None
-
-    def test_scope_restores_after_an_exception(self):
-        with pytest.raises(RuntimeError):
-            with dispatch_scope("numpy"):
-                raise RuntimeError("boom")
-        assert active_namespace() is None
-
-    def test_pipeline_dispatch_active_only_for_array_spec(self):
-        for spec in ("auto", "dense", "sparse", None):
-            with pipeline_dispatch(spec) as namespace:
-                assert namespace is None
-                assert active_namespace() is None
-        with pipeline_dispatch("array") as namespace:
-            assert namespace is not None
-            assert active_namespace() is namespace
-        with pipeline_dispatch(ArrayBackend("numpy")) as namespace:
-            assert namespace.name == "numpy"
-        assert active_namespace() is None
-
-
-class TestDispatchedKernels:
-    """Active-scope helpers match the legacy numpy expressions."""
-
-    @pytest.mark.parametrize("precision", [3, 5])
-    def test_outcome_distributions_match_legacy(self, precision):
-        phases = np.array([0.0, 0.125, 0.3, 0.5, 0.999])
-        legacy = qpe_outcome_distributions(phases, precision)
-        with dispatch_scope("numpy"):
-            dispatched = dispatched_outcome_distributions(phases, precision)
-        assert dispatched is not None
-        assert np.allclose(dispatched, legacy, atol=1e-12)
-        assert np.allclose(dispatched.sum(axis=1), 1.0, atol=1e-8)
-
-    def test_qpe_outcome_distributions_routes_through_scope(self):
-        phases = np.array([0.2, 0.7])
-        legacy = qpe_outcome_distributions(phases, 4)
-        with dispatch_scope("numpy"):
-            routed = qpe_outcome_distributions(phases, 4)
-        assert np.allclose(routed, legacy, atol=1e-12)
-
-    def test_matmul_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
-        b = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
-        with dispatch_scope("numpy"):
-            product = dispatched_matmul(a, b)
-        assert np.allclose(product, a @ b, atol=1e-12)
-
-    def test_squared_magnitudes_and_phasors_match_numpy(self):
-        rng = np.random.default_rng(1)
-        states = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-        phases = rng.uniform(-np.pi, np.pi, size=11)
-        with dispatch_scope("numpy"):
-            squared = dispatched_squared_magnitudes(states)
-            phasors = dispatched_unit_phasors(phases)
-        assert np.allclose(squared, states.real**2 + states.imag**2, atol=1e-12)
-        assert np.allclose(phasors, np.cos(phases) + 1j * np.sin(phases), atol=1e-12)
-
-    def test_tomography_batch_identical_under_numpy_dispatch(self):
-        from repro.quantum.measurement import tomography_estimate_batch
-
-        rng = np.random.default_rng(2)
-        states = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        plain = tomography_estimate_batch(
-            states, 64, [np.random.default_rng(i) for i in range(4)]
-        )
-        with dispatch_scope("numpy"):
-            dispatched = tomography_estimate_batch(
-                states, 64, [np.random.default_rng(i) for i in range(4)]
-            )
-        # numpy dispatch computes the same expressions on the same arrays;
-        # the RNG draw passes are untouched, so results agree exactly
-        assert np.allclose(dispatched, plain, atol=1e-12)
-
-
 @pytest.mark.requires_array_api
 class TestNonNumpyNamespace:
     """Runs only where torch or CuPy is importable (the CI accel leg)."""
@@ -258,14 +148,6 @@ class TestNonNumpyNamespace:
             as_backend_matrix(matrix, backend), 4
         )
         assert np.allclose(values, dense_values, atol=1e-8)
-
-    def test_dispatched_kernels_match_legacy_to_tolerance(self):
-        backend = self.non_numpy_backend()
-        phases = np.array([0.0, 0.125, 0.37, 0.5])
-        legacy = qpe_outcome_distributions(phases, 5)
-        with dispatch_scope(backend.adapter):
-            dispatched = dispatched_outcome_distributions(phases, 5)
-        assert np.allclose(dispatched, legacy, atol=1e-9)
 
     def test_pipeline_fit_matches_dense_labels(self):
         from repro.core import QSCConfig, QuantumSpectralClustering

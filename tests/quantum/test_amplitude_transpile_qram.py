@@ -1,4 +1,4 @@
-"""Tests for amplitude amplification/estimation, transpilation, and QRAM."""
+"""Tests for amplitude amplification/estimation and QRAM."""
 
 import numpy as np
 import pytest
@@ -13,17 +13,8 @@ from repro.quantum.amplitude import (
     mle_amplitude_estimation,
     success_probability,
 )
-from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.qram import KPTree, QRAM
 from repro.quantum.state_prep import amplitude_encode
-from repro.quantum.transpile import (
-    TranspileCounts,
-    multi_controlled_counts,
-    reconstruct,
-    transpile_counts,
-    two_level_decompose,
-    unitary_counts,
-)
 from repro.utils.linalg import is_unitary
 
 
@@ -116,62 +107,6 @@ class TestAmplitudeEstimation:
     def test_precision_validation(self):
         with pytest.raises(CircuitError):
             amplitude_estimation(uniform_state(4), [0], precision_bits=0)
-
-
-class TestTranspile:
-    @given(seed=st.integers(0, 20), dim=st.sampled_from([2, 3, 4, 6, 8]))
-    @settings(max_examples=20, deadline=None)
-    def test_two_level_reconstruction(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        unitary, _ = np.linalg.qr(raw)
-        rotations, phases = two_level_decompose(unitary)
-        assert np.allclose(reconstruct(rotations, phases), unitary, atol=1e-8)
-
-    def test_rotation_count_bound(self):
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        unitary, _ = np.linalg.qr(raw)
-        rotations, _ = two_level_decompose(unitary)
-        assert len(rotations) <= 8 * 7 // 2
-
-    def test_identity_decomposes_to_nothing(self):
-        rotations, phases = two_level_decompose(np.eye(4))
-        assert rotations == []
-        assert np.allclose(phases, 1.0)
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(CircuitError):
-            two_level_decompose(np.ones((2, 2)))
-
-    def test_unitary_counts_growth(self):
-        assert unitary_counts(1).cnot == 0
-        assert unitary_counts(2).cnot == 3
-        assert unitary_counts(4).cnot > unitary_counts(3).cnot
-
-    def test_multi_controlled_counts(self):
-        assert multi_controlled_counts(1).cnot == 2
-        assert multi_controlled_counts(5).cnot > multi_controlled_counts(3).cnot
-        with pytest.raises(CircuitError):
-            multi_controlled_counts(0)
-
-    def test_circuit_counts(self):
-        qc = QuantumCircuit(2).h(0).cx(0, 1).swap(0, 1)
-        counts = transpile_counts(qc)
-        assert counts.cnot == 2 + 3  # cx + swap
-        assert counts.single_qubit >= 1
-
-    def test_counts_addition(self):
-        total = TranspileCounts(1, 2) + TranspileCounts(3, 4)
-        assert total.cnot == 4 and total.single_qubit == 6
-        assert total.total == 10
-
-    def test_qpe_circuit_transpiles(self):
-        from repro.quantum.phase_estimation import qpe_circuit
-
-        unitary = np.diag([1.0, 1.0j])
-        counts = transpile_counts(qpe_circuit(unitary, 3))
-        assert counts.cnot > 0 and counts.total > 10
 
 
 class TestKPTree:

@@ -1,78 +1,16 @@
-"""Tests for the power-method eigensolver and eigengap model selection."""
+"""Tests for eigengap model selection."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ClusteringError, ConvergenceError
-from repro.graphs import hermitian_laplacian, laplacian_spectrum, mixed_sbm
+from repro.exceptions import ClusteringError
+from repro.graphs import laplacian_spectrum, mixed_sbm
 from repro.spectral import (
     eigengaps,
     estimate_num_clusters,
     gap_profile,
-    lowest_eigenpairs_by_power,
-    power_iteration,
     relative_eigengap,
 )
-
-
-class TestPowerIteration:
-    def test_dominant_pair_of_diagonal(self):
-        matrix = np.diag([1.0, 5.0, 2.0])
-        value, vector, _ = power_iteration(matrix, seed=0)
-        assert np.isclose(value, 5.0, atol=1e-6)
-        assert np.isclose(abs(vector[1]), 1.0, atol=1e-4)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ConvergenceError):
-            power_iteration(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_iteration_budget_enforced(self):
-        # a one-iteration budget cannot satisfy a 1e-15 tolerance from the
-        # cold-start Rayleigh value of zero
-        matrix = np.diag([1.0, 3.0])
-        with pytest.raises(ConvergenceError):
-            power_iteration(matrix, max_iterations=1, tolerance=1e-15, seed=0)
-
-    @given(seed=st.integers(0, 20))
-    @settings(max_examples=10, deadline=None)
-    def test_eigen_equation(self, seed):
-        rng = np.random.default_rng(seed)
-        raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        matrix = raw + raw.conj().T
-        value, vector, _ = power_iteration(matrix, seed=seed)
-        residual = matrix @ vector - value * vector
-        assert np.linalg.norm(residual) < 1e-3
-
-
-class TestLowestByPower:
-    @given(seed=st.integers(0, 15))
-    @settings(max_examples=8, deadline=None)
-    def test_matches_dense_lowest(self, seed):
-        graph, _ = mixed_sbm(14, 2, seed=seed)
-        laplacian = hermitian_laplacian(graph)
-        values, _, _ = lowest_eigenpairs_by_power(laplacian, 2, seed=seed)
-        exact = np.linalg.eigvalsh(laplacian)[:2]
-        assert np.allclose(values, exact, atol=1e-4)
-
-    def test_vectors_satisfy_equation(self):
-        graph, _ = mixed_sbm(12, 2, seed=3)
-        laplacian = hermitian_laplacian(graph)
-        values, vectors, _ = lowest_eigenpairs_by_power(laplacian, 2, seed=0)
-        for j in range(2):
-            residual = laplacian @ vectors[:, j] - values[j] * vectors[:, j]
-            assert np.linalg.norm(residual) < 1e-3
-
-    def test_iteration_count_reported(self):
-        graph, _ = mixed_sbm(12, 2, seed=4)
-        _, _, iterations = lowest_eigenpairs_by_power(
-            hermitian_laplacian(graph), 2, seed=0
-        )
-        assert iterations > 0
-
-    def test_k_validation(self):
-        with pytest.raises(ConvergenceError):
-            lowest_eigenpairs_by_power(np.eye(4), 0)
 
 
 class TestEigengap:

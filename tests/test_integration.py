@@ -3,7 +3,7 @@
 These tests pin the relationships the architecture relies on — e.g. that
 the quantum projector rows really are the isometric image of the classical
 spectral embedding, that the QRAM rotation cascade agrees with the circuit
-state-prep, and that every front end (dense, Lanczos, power, VQE, QPE)
+state-prep, and that every front end (dense, Lanczos, VQE, QPE)
 lands in the same low subspace.
 """
 
@@ -17,7 +17,7 @@ from repro import (
     adjusted_rand_index,
     mixed_sbm,
 )
-from repro.core.qpe_engine import AnalyticQPEBackend, pad_laplacian
+from repro.core.qpe_engine import AnalyticQPEBackend
 from repro.graphs import (
     Hypergraph,
     ensure_connected,
@@ -32,14 +32,10 @@ from repro.quantum import (
     QuantumCircuit,
     VQESolver,
     state_preparation_circuit,
-    transpile_counts,
 )
-from repro.quantum.phase_estimation import qpe_circuit
-from repro.quantum.hamiltonian import exact_evolution
 from repro.spectral import (
     dense_lowest_eigenpairs,
     lanczos_lowest_eigenpairs,
-    lowest_eigenpairs_by_power,
 )
 
 
@@ -63,9 +59,7 @@ class TestFrontEndAgreement:
         laplacian = hermitian_laplacian(graph)
         _, dense = dense_lowest_eigenpairs(laplacian, 2)
         _, lanczos = lanczos_lowest_eigenpairs(laplacian, 2, seed=0)
-        _, power, _ = lowest_eigenpairs_by_power(laplacian, 2, seed=0)
         assert subspace_fidelity(dense, lanczos) > 0.999
-        assert subspace_fidelity(dense, power) > 0.999
 
     def test_vqe_reaches_the_exact_subspace(self, strong_graph):
         graph, _ = strong_graph
@@ -151,14 +145,3 @@ class TestNetlistChain:
             config = QSCConfig(precision_bits=6, shots=2048, seed=0)
             result = QuantumSpectralClustering(2, config).fit(graph)
             assert set(result.labels) == {0, 1}
-
-
-class TestResourceChain:
-    def test_qpe_circuit_transpiles_to_nontrivial_counts(self, strong_graph):
-        graph, _ = strong_graph
-        laplacian = pad_laplacian(hermitian_laplacian(graph))
-        unitary = exact_evolution(laplacian, 1.0)
-        circuit = qpe_circuit(unitary, 4)
-        counts = transpile_counts(circuit)
-        assert counts.cnot > 100  # controlled 4-qubit unitaries dominate
-        assert counts.total > counts.cnot
