@@ -17,6 +17,9 @@ import numpy as np
 # listed in the modules that enforce them).
 MIN_GENERATOR_SPEEDUP = 5.0
 MIN_KERNEL_SPEEDUP = 3.0
+# One q-means call, GEMM distance assignment vs the retained n × k × d
+# broadcast reference (6.4x measured on a 2-core x86-64 host).
+MIN_QMEANS_SPEEDUP = 3.0
 
 # Sharded readout (worker processes) vs the single-process batched stage.
 # Wall-clock parallel speedup needs actual cores, so this gate is only
@@ -55,6 +58,9 @@ EIGENSOLVER_CLUSTERS = 4
 EIGENSOLVER_K = 4
 EIGENSOLVER_WEIGHT_DECADES = 6.0
 EIGENSOLVER_SEED = 7
+QMEANS_NODES = 1024  # the ROADMAP reference size; points are n × 2n
+QMEANS_CLUSTERS = 4
+QMEANS_SEED = 3
 
 
 def usable_cores() -> int:
@@ -194,3 +200,39 @@ def batch_kernel_build(phases: np.ndarray) -> np.ndarray:
     from repro.quantum.phase_estimation import qpe_outcome_distributions
 
     return qpe_outcome_distributions(phases, KERNEL_PRECISION)
+
+
+def qmeans_points() -> np.ndarray:
+    """The gated q-means workload: ``QMEANS_NODES`` row-normalised points
+    of dimension ``2 · QMEANS_NODES`` (the embedding stage's output shape)
+    in ``QMEANS_CLUSTERS`` noisy clusters."""
+    rng = np.random.default_rng(QMEANS_SEED)
+    truth = rng.integers(QMEANS_CLUSTERS, size=QMEANS_NODES)
+    centers = rng.normal(size=(QMEANS_CLUSTERS, 2 * QMEANS_NODES))
+    points = centers[truth] + rng.normal(size=(QMEANS_NODES, 2 * QMEANS_NODES))
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def broadcast_assign(points, centroids, delta, rng):
+    """The legacy q-means assignment: explicit n × k × d broadcast
+    distances, same noise draw."""
+    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    if delta > 0:
+        distances = distances + rng.uniform(-delta, delta, size=distances.shape)
+    return distances.argmin(axis=1)
+
+
+def run_qmeans(points: np.ndarray, assign=None):
+    """One default-parameter q-means call on ``points``; ``assign``, when
+    given, replaces the module's assignment step for the call."""
+    import sys
+    from unittest import mock
+
+    import repro.core.qmeans  # noqa: F401
+
+    # ``repro.core`` re-exports the function under the module's name.
+    module = sys.modules["repro.core.qmeans"]
+    if assign is None:
+        return module.qmeans(points, QMEANS_CLUSTERS, seed=QMEANS_SEED)
+    with mock.patch.object(module, "noisy_assign_labels", assign):
+        return module.qmeans(points, QMEANS_CLUSTERS, seed=QMEANS_SEED)

@@ -28,7 +28,7 @@ because its two sides come from different CI runs.
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/trajectory.py \
-        --out BENCH_pr10.json --series BENCH_trajectory.json --label pr10
+        --out BENCH_pr13.json --series BENCH_trajectory.json --label pr13
 
 Exit status is non-zero if any gate fails; the JSON (and the updated
 series) is written either way so the failing numbers are inspectable.
@@ -54,19 +54,25 @@ from perf_gates import (
     MIN_GENERATOR_SPEEDUP,
     MIN_KERNEL_SPEEDUP,
     MIN_LOBPCG_SPEEDUP,
+    MIN_QMEANS_SPEEDUP,
     MIN_READOUT_SHARD_SPEEDUP,
     MIN_RELATIVE_TREND,
+    QMEANS_CLUSTERS,
+    QMEANS_NODES,
     READOUT_SHARD_COUNT,
     SHARD_SEED,
     SHARD_SHOTS,
     batch_kernel_build,
     best_seconds,
+    broadcast_assign,
     eigensolver_gate_enforced,
     generator_cases,
     ill_conditioned_laplacian,
     kernel_phases,
     loop_kernel_build,
+    qmeans_points,
     readout_shard_case,
+    run_qmeans,
     shard_gate_enforced,
     usable_cores,
 )
@@ -103,6 +109,35 @@ def measure_kernel() -> dict:
         "loop_seconds": loop,
         "batch_seconds": batch,
         "speedup": loop / batch,
+    }
+
+
+def measure_qmeans() -> dict:
+    """One q-means call: GEMM distances vs the broadcast reference.
+
+    Both runs must follow the same trajectory — identical labels and
+    centroids (an ``AssertionError`` fails the whole run) — so the ratio
+    times the assignment step and nothing else.
+    """
+    points = qmeans_points()
+    reference = run_qmeans(points, assign=broadcast_assign)
+    result = run_qmeans(points)
+    if not (
+        np.array_equal(result.labels, reference.labels)
+        and np.array_equal(result.centroids, reference.centroids)
+    ):
+        raise AssertionError("GEMM q-means differs from the broadcast reference")
+    broadcast = best_seconds(
+        lambda: run_qmeans(points, assign=broadcast_assign), repeats=2
+    )
+    gemm = best_seconds(lambda: run_qmeans(points), repeats=3)
+    return {
+        "num_points": QMEANS_NODES,
+        "dimension": int(points.shape[1]),
+        "clusters": QMEANS_CLUSTERS,
+        "broadcast_seconds": broadcast,
+        "gemm_seconds": gemm,
+        "speedup": broadcast / gemm,
     }
 
 
@@ -295,6 +330,8 @@ def trend_metrics(results: dict) -> dict:
         for name, row in results["generators"].items()
     }
     metrics["kernel"] = results["kernel"]["speedup"]
+    if "qmeans" in results:  # older series entries predate the measure
+        metrics["qmeans"] = results["qmeans"]["speedup"]
     shards = results.get("readout_shards")
     if shards is not None and shards["gate_enforced"]:
         # Parallel speedup only trends where it is gated (multi-core
@@ -393,6 +430,11 @@ def evaluate_gates(results: dict) -> dict:
         "value": results["kernel"]["speedup"],
         "passed": results["kernel"]["speedup"] >= MIN_KERNEL_SPEEDUP,
     }
+    gates["qmeans_speedup"] = {
+        "threshold": MIN_QMEANS_SPEEDUP,
+        "value": results["qmeans"]["speedup"],
+        "passed": results["qmeans"]["speedup"] >= MIN_QMEANS_SPEEDUP,
+    }
     warm_cache = results["sweep_cache"]["warm_cache"]
     gates["warm_sweep_fully_cached"] = {
         "threshold": 0,
@@ -433,9 +475,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--out",
-        default="BENCH_pr10.json",
+        default="BENCH_pr13.json",
         metavar="PATH",
-        help="where to write the JSON summary (default: ./BENCH_pr10.json)",
+        help="where to write the JSON summary (default: ./BENCH_pr13.json)",
     )
     parser.add_argument(
         "--series",
@@ -449,15 +491,16 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--label",
-        default="pr10",
+        default="pr13",
         metavar="NAME",
-        help="series label of this entry (default: pr10)",
+        help="series label of this entry (default: pr13)",
     )
     args = parser.parse_args(argv)
 
     results = {
         "generators": measure_generators(),
         "kernel": measure_kernel(),
+        "qmeans": measure_qmeans(),
         "sweep_cache": measure_sweep_cache(),
         "store": measure_store(),
         "readout_shards": measure_readout_shards(),

@@ -63,27 +63,34 @@ def store_key(stage_name: str, fingerprint: str) -> str:
 
 
 def graph_fingerprint(graph) -> str:
-    """Content digest of a mixed graph (size + full connection list)."""
+    """Content digest of a mixed graph (size + full connection list).
+
+    One ``"u,v,weight,directed;"`` record per connection in
+    :meth:`MixedGraph.edges` order, hashed in a single update.  The record
+    format is part of every store key: changing it silently orphans
+    on-disk checkpoints (``tests/pipeline/test_fingerprint.py`` pins it).
+    """
+    undirected, directed = graph.sorted_connections()
+    records = [f"{u},{v},{w},False;" for (u, v), w in undirected]
+    records += [f"{u},{v},{w},True;" for (u, v), w in directed]
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(graph.num_nodes).encode())
-    for edge in graph.edges():
-        digest.update(
-            f"{edge.u},{edge.v},{edge.weight},{edge.directed};".encode()
-        )
+    digest.update("".join(records).encode())
     return digest.hexdigest()
 
 
-def context_fingerprint(graph, config, requested_clusters, fields) -> str:
+def context_fingerprint(graph_digest, config, requested_clusters, fields) -> str:
     """Digest of everything a stage's checkpointed output depends on.
 
-    ``fields`` is the stage's cumulative tuple of :class:`QSCConfig`
-    attribute names; the graph content is always included, and
+    ``graph_digest`` is :func:`graph_fingerprint` of the run's graph (the
+    pipeline computes it once per run).  ``fields`` is the stage's
+    cumulative tuple of :class:`QSCConfig` attribute names, and
     ``requested_clusters`` (``int`` or ``"auto"``) participates unless the
     caller passes ``None`` — the laplacian stage's output does not depend
     on k, so changing ``--clusters`` legitimately reuses its checkpoint.
     """
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(graph_fingerprint(graph).encode())
+    digest.update(graph_digest.encode())
     if requested_clusters is not None:
         digest.update(repr(requested_clusters).encode())
     for name in fields:

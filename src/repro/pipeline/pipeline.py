@@ -212,6 +212,9 @@ class QSCPipeline:
         """Execute (or load) every stage, appending telemetry reports."""
         cfg = self.config
         graph = ctx.graph
+        # The graph digest is the costly part of every stage's context
+        # fingerprint and the same for all of them: compute it once.
+        graph_digest = checkpoint.graph_fingerprint(graph)
         for index, stage in enumerate(build_stages()):
             cache_before = spectral_cache_stats()
             start = time.perf_counter()
@@ -226,7 +229,7 @@ class QSCPipeline:
             # the caller explicitly hands over state it owns (the fig4
             # pattern, where only downstream fields differ).
             fingerprint = checkpoint.context_fingerprint(
-                graph,
+                graph_digest,
                 cfg,
                 self.num_clusters if stage.fingerprint_clusters else None,
                 stage.fingerprint_fields,

@@ -11,6 +11,26 @@ from repro.metrics import adjusted_rand_index
 from repro.spectral.kmeans import kmeans
 
 
+def broadcast_assign(points, centroids, delta, rng):
+    """Reference assignment: the explicit n × k × d broadcast distances."""
+    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    if delta > 0:
+        distances = distances + rng.uniform(-delta, delta, size=distances.shape)
+    return distances.argmin(axis=1)
+
+
+def embedding_case(num_rows, k, seed):
+    """Row-normalised ``num_rows × 2·num_rows`` points in ``k`` noisy
+    clusters (the q-means stage's input shape), plus ``k`` member rows
+    as starting centroids."""
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(k, size=num_rows)
+    centers = rng.normal(size=(k, 2 * num_rows))
+    points = centers[truth] + 0.8 * rng.normal(size=(num_rows, 2 * num_rows))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    return points, points[rng.choice(num_rows, size=k, replace=False)]
+
+
 class TestBinValue:
     def test_conversion(self):
         assert np.isclose(bin_value(8, 4, 2.0), 1.0)
@@ -107,9 +127,28 @@ class TestQMeans:
         points, _ = self.blobs(3)
         centroids = np.array([[0.0, 0.0], [4.0, 4.0]])
         rng = np.random.default_rng(0)
-        noisy = noisy_assign_labels(points, centroids, 0.0, rng)
-        exact = noisy_assign_labels(points, centroids, 0.0, rng)
-        assert np.array_equal(noisy, exact)
+        labels = noisy_assign_labels(points, centroids, 0.0, rng)
+        exact = broadcast_assign(points, centroids, 0.0, None)
+        assert np.array_equal(labels, exact)
+        # δ = 0 draws nothing: the generator is untouched.
+        untouched = np.random.default_rng(0).bit_generator.state
+        assert rng.bit_generator.state == untouched
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_gemm_assignment_matches_broadcast_on_embedding_rows(self, delta):
+        """Embedding-shaped data (row-normalised, d = 2n): the GEMM
+        distance expansion picks the broadcast reference's labels and
+        consumes exactly the same draws."""
+        points, centroids = embedding_case(num_rows=256, k=4, seed=21)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            labels = noisy_assign_labels(points, centroids, delta, rng)
+            reference = broadcast_assign(points, centroids, delta, twin)
+            assert np.array_equal(labels, reference)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            centroids = np.vstack(
+                [points[reference == c].mean(axis=0) for c in range(4)]
+            )
 
     def test_perturbation_bounded(self):
         rng = np.random.default_rng(0)

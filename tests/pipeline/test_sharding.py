@@ -790,9 +790,10 @@ class TestConfigValidation:
         graph, k, config = build_case("analytic_shots")
         from repro.pipeline.stages import _READOUT_FIELDS
 
-        base = checkpoint.context_fingerprint(graph, config, k, _READOUT_FIELDS)
+        graph_digest = checkpoint.graph_fingerprint(graph)
+        base = checkpoint.context_fingerprint(graph_digest, config, k, _READOUT_FIELDS)
         resharded = checkpoint.context_fingerprint(
-            graph,
+            graph_digest,
             config.with_updates(
                 readout_shards=4,
                 shard_timeout=1.0,

@@ -153,7 +153,7 @@ def _stage_fingerprint(graph, config, num_clusters, stage_name):
 
     stage = next(s for s in build_stages() if s.name == stage_name)
     return checkpoint.context_fingerprint(
-        graph,
+        checkpoint.graph_fingerprint(graph),
         config,
         num_clusters if stage.fingerprint_clusters else None,
         stage.fingerprint_fields,
