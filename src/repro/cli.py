@@ -170,10 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "attach the shared content-addressed compute store rooted at "
-            "DIR: spectral decompositions and stage/shard checkpoints are "
-            "served from and published to it, so repeat runs (from any "
-            "process) become disk hits; results are bit-identical either "
-            "way (default: no shared store)"
+            "DIR: spectral decompositions and (without --save-stages) "
+            "stage/shard checkpoints are served from and published to it, "
+            "so repeat runs (from any process) become disk hits; results "
+            "are bit-identical either way (default: no shared store)"
         ),
     )
     cluster.add_argument(
@@ -201,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help=(
-            "checkpoint every pipeline stage into DIR (one <stage>.npz "
-            "per stage); also the directory --resume-from loads from"
+            "checkpoint every pipeline stage into the content store "
+            "rooted at DIR; also the store --resume-from loads from"
         ),
     )
     cluster.add_argument(
@@ -212,8 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="STAGE",
         help=(
             "resume at STAGE: load every upstream stage from the "
-            "--save-stages directory instead of recomputing it, and "
-            f"re-run STAGE onward (stages: {', '.join(STAGE_NAMES)})"
+            "--save-stages directory (or else the --store-dir store) "
+            "instead of recomputing it, and re-run STAGE onward "
+            f"(stages: {', '.join(STAGE_NAMES)})"
         ),
     )
 
@@ -474,10 +475,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_cluster(args) -> int:
     graph = graph_io.load(args.input)
     if args.method == "quantum":
-        if args.resume_from is not None and args.save_stages is None:
+        if (
+            args.resume_from is not None
+            and args.save_stages is None
+            and args.store_dir is None
+        ):
             raise ReproError(
-                "--resume-from needs --save-stages DIR (the checkpoint "
-                "directory a previous run wrote)"
+                "--resume-from needs a checkpoint source: --save-stages DIR "
+                "or --store-dir DIR (where a previous run checkpointed)"
             )
         config = QSCConfig(
             backend=args.qpe_backend,

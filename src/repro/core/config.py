@@ -43,10 +43,13 @@ class QSCConfig:
         (:mod:`repro.pipeline.sharding`).  ``None`` (default) runs the
         classic unsharded stage; any count produces bit-identical results
         because each shard consumes exactly the per-row RNG streams it
-        owns and shards merge in index order.  With ``save_stages`` each
-        shard checkpoints as ``readout.shard-<i>.npz``, so a crashed run
-        resumes recomputing only the missing shards.  Exposed on the CLI
-        as ``--readout-shards``.
+        owns and shards merge in index order.  Under a checkpoint store
+        (``save_stages`` or ``store_dir``) each shard is stored as a
+        ``readout.shard-<i>`` entry the moment it completes, so a crashed
+        run resumes recomputing only the missing shards.  The field stays
+        out of checkpoint fingerprints: a sharded run's merged readout
+        checkpoint resumes an unsharded run and vice versa.  Exposed on
+        the CLI as ``--readout-shards``.
     shard_timeout:
         Per-attempt wall-clock deadline (seconds) for one readout shard;
         a worker past it is killed and the shard retried.  ``None``

@@ -35,7 +35,7 @@ import hashlib
 import numpy as np
 
 from repro.exceptions import ClusteringError
-from repro.store import DEFAULT_MEMORY_BYTES, ContentStore, get_store
+from repro.store import get_store
 from repro.linalg import is_sparse_matrix, to_dense_array
 from repro.quantum.hamiltonian import (
     SpectralDecomposition,
@@ -60,11 +60,6 @@ DEFAULT_MAX_BATCH_COLUMNS = 64
 # Cache the joint forward table (2^p · dim · n complex entries) only below
 # this size (~64 MiB); larger tables are recomputed chunk by chunk per pass.
 FORWARD_TABLE_CACHE_MAX_ENTRIES = 1 << 22
-# Default byte budget of the process-wide spectral cache below (~256 MiB of
-# eigendecompositions and QPE kernels; a 1024-node graph costs ~16 MiB).
-# This *is* the content store's memory-tier budget: the spectral cache is a
-# view over the store, so the two budgets are one and the same knob.
-SPECTRAL_CACHE_MAX_BYTES = DEFAULT_MEMORY_BYTES
 
 
 def laplacian_fingerprint(laplacian: np.ndarray) -> str:
@@ -87,156 +82,84 @@ def laplacian_fingerprint(laplacian: np.ndarray) -> str:
 #: Store namespace of the spectral entries (eigendecompositions, kernels).
 SPECTRAL_NAMESPACE = "spectral"
 
+# The spectral cache is the ``"spectral"`` namespace of the process-wide
+# content store.  Keys are Laplacian content (plus the ancilla count for
+# kernels), so sweep points that vary only shots or threshold reuse both
+# products and a precision change rebuilds only the kernel.  Served arrays
+# are read-only and shared between backend instances; hit or miss, they
+# are bit-identical (golden-pinned in ``tests/store/``).
 
-class SpectralCache:
-    """Content-keyed cache of eigendecompositions and QPE kernels.
 
-    Since the shared compute tier landed this is a thin *view* over the
-    process-wide :class:`repro.store.ContentStore` (namespace
-    ``"spectral"``): entries are keyed by Laplacian content
-    (:func:`laplacian_fingerprint`) — plus the ancilla count for kernels —
-    so sweep points that vary only shots, threshold or precision reuse
-    the O(n³) eigendecomposition, and points that vary only
-    shots/threshold additionally reuse the QPE response kernel.  The
-    memory tier is a byte-bounded LRU exactly as before (an entry larger
-    than the whole budget is simply not kept resident), and when the
-    store has a disk root attached (``QSCConfig.store_dir`` /
-    ``--store-dir``) a fresh process serves repeat Laplacians from disk
-    instead of re-decomposing — the cross-process warm path.
+def cached_decomposition(
+    fingerprint: str, padded: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cached eigendecomposition ``(eigenvalues, eigenvectors)`` of ``padded``.
 
-    Cached arrays are marked read-only and shared between backend
-    instances; callers must treat them as immutable (the backends do).
-    The view is *transparent*: memory hit, disk hit or miss, the numbers
-    produced are identical (golden-pinned in ``tests/store/``).
-
-    The legacy counter shape is preserved: ``stats()["hits"]`` counts
-    memory and disk hits together, ``entries``/``bytes`` describe the
-    memory tier only.
+    ``fingerprint`` is :func:`laplacian_fingerprint` of ``padded``, which
+    may be ``None`` on a guaranteed hit (the caller already holds the
+    fingerprint from an earlier call this process).
     """
 
-    def __init__(self, store: ContentStore | None = None, max_bytes: int | None = None):
-        self._store = store if store is not None else get_store()
-        if max_bytes is not None:
-            self._store.configure(max_memory_bytes=max_bytes)
-
-    @property
-    def store(self) -> ContentStore:
-        """The backing content store."""
-        return self._store
-
-    @property
-    def max_bytes(self) -> int:
-        """Memory-tier byte budget (the store's ``max_memory_bytes``)."""
-        return self._store.max_memory_bytes
-
-    @property
-    def enabled(self) -> bool:
-        """Whether lookups are served at all (store-wide switch)."""
-        return self._store.enabled
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Counters snapshot: hits, misses, evictions, entries, bytes.
-
-        ``hits`` merges memory- and disk-tier hits of the spectral
-        namespace; ``evictions`` counts memory-tier evictions (the legacy
-        meaning — disk evictions appear in the store's own stats).
-        """
-        stats = self._store.namespace_stats(SPECTRAL_NAMESPACE)
+    def build():
+        if padded is None:
+            raise ClusteringError("spectral cache miss with no matrix to decompose")
+        decomposition = SpectralDecomposition.of(padded)
         return {
-            "hits": stats["memory_hits"] + stats["disk_hits"],
-            "misses": stats["misses"],
-            "evictions": stats["memory_evictions"],
-            "entries": stats["entries"],
-            "bytes": stats["bytes"],
+            "eigenvalues": decomposition.eigenvalues,
+            "eigenvectors": decomposition.eigenvectors,
         }
 
-    def clear(self, reset_stats: bool = True) -> None:
-        """Drop the memory tier (and by default zero the counters).
-
-        Disk-tier entries survive — clearing simulates a fresh worker
-        process, which then serves repeat Laplacians as disk hits.
-        """
-        self._store.clear_memory(reset_stats=reset_stats)
-
-    def configure(
-        self, max_bytes: int | None = None, enabled: bool | None = None
-    ) -> None:
-        """Adjust the memory byte budget and/or switch caching off."""
-        self._store.configure(max_memory_bytes=max_bytes, enabled=enabled)
-
-    # -- the two cached products ------------------------------------------
-
-    def decomposition(
-        self, fingerprint: str, padded: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition ``(eigenvalues, eigenvectors)`` of ``padded``.
-
-        ``padded`` may be ``None`` on a guaranteed hit (the caller already
-        holds the fingerprint from an earlier call this process).
-        """
-
-        def build():
-            if padded is None:
-                raise ClusteringError("spectral cache miss with no matrix to decompose")
-            decomposition = SpectralDecomposition.of(padded)
-            return {
-                "eigenvalues": decomposition.eigenvalues,
-                "eigenvectors": decomposition.eigenvectors,
-            }
-
-        payload = self._store.get_or_create(
-            SPECTRAL_NAMESPACE, f"decomposition@{fingerprint}", build
-        )
-        return payload["eigenvalues"], payload["eigenvectors"]
-
-    def kernel(
-        self,
-        fingerprint: str,
-        precision_bits: int,
-        phases: np.ndarray,
-    ) -> np.ndarray:
-        """QPE response kernel ``kernel[j, y] = Pr[readout y | eigvec j]``.
-
-        Keyed by (Laplacian content, ancilla count): a sweep point that
-        changes only shots or the acceptance threshold reuses both the
-        decomposition *and* this kernel; changing ``precision_bits`` reuses
-        the decomposition and rebuilds only the kernel.
-
-        A miss computes the full (eigenvalues × outcomes) response matrix
-        in one :func:`~repro.quantum.phase_estimation.qpe_outcome_distributions`
-        broadcast pass — there is no per-eigenvalue Python loop left on the
-        kernel-build path.
-        """
-
-        def build():
-            return {"kernel": qpe_outcome_distributions(phases, precision_bits)}
-
-        payload = self._store.get_or_create(
-            SPECTRAL_NAMESPACE,
-            f"kernel@{fingerprint}@p{int(precision_bits)}",
-            build,
-        )
-        return payload["kernel"]
+    payload = get_store().get_or_create(
+        SPECTRAL_NAMESPACE, f"decomposition@{fingerprint}", build
+    )
+    return payload["eigenvalues"], payload["eigenvectors"]
 
 
-#: The process-wide spectral cache ``AnalyticQPEBackend`` (and the circuit
-#: backend's exact-evolution construction) consult — a view over the
-#: process-wide content store, so attaching a ``store_dir`` makes repeat
-#: Laplacians cross-process disk hits.  Parallel sweep workers each own an
-#: independent memory tier but share the disk tier.
-SPECTRAL_CACHE = SpectralCache()
+def cached_kernel(
+    fingerprint: str, precision_bits: int, phases: np.ndarray
+) -> np.ndarray:
+    """Cached QPE response kernel ``kernel[j, y] = Pr[readout y | eigvec j]``.
+
+    Keyed by (Laplacian content, ancilla count): changing
+    ``precision_bits`` reuses the decomposition and rebuilds only this
+    kernel.  A miss computes the full (eigenvalues × outcomes) matrix in
+    one :func:`~repro.quantum.phase_estimation.qpe_outcome_distributions`
+    broadcast pass.
+    """
+
+    def build():
+        return {"kernel": qpe_outcome_distributions(phases, precision_bits)}
+
+    payload = get_store().get_or_create(
+        SPECTRAL_NAMESPACE, f"kernel@{fingerprint}@p{int(precision_bits)}", build
+    )
+    return payload["kernel"]
 
 
 def spectral_cache_stats() -> dict:
-    """Hit/miss/eviction counters of :data:`SPECTRAL_CACHE`."""
-    return SPECTRAL_CACHE.stats()
+    """Counters of the spectral cache: hits, misses, evictions, entries, bytes.
+
+    ``hits`` merges memory- and disk-tier hits; ``evictions`` counts
+    memory-tier evictions (disk evictions appear in the store's own
+    stats); ``entries``/``bytes`` describe the memory tier only.
+    """
+    stats = get_store().namespace_stats(SPECTRAL_NAMESPACE)
+    return {
+        "hits": stats["memory_hits"] + stats["disk_hits"],
+        "misses": stats["misses"],
+        "evictions": stats["memory_evictions"],
+        "entries": stats["entries"],
+        "bytes": stats["bytes"],
+    }
 
 
 def clear_spectral_cache() -> None:
-    """Empty :data:`SPECTRAL_CACHE`'s memory tier and reset its counters."""
-    SPECTRAL_CACHE.clear()
+    """Drop the store's memory tier and reset its counters.
+
+    Disk-tier entries survive — clearing simulates a fresh worker
+    process, which then serves repeat Laplacians as disk hits.
+    """
+    get_store().clear_memory()
 
 
 def pad_laplacian(laplacian):
@@ -292,7 +215,8 @@ class AnalyticQPEBackend:
     (cross-validated in tests/core/test_qpe_engine.py).
 
     Both the eigendecomposition and the QPE response kernel are served
-    from :data:`SPECTRAL_CACHE`, keyed by Laplacian content — constructing
+    from the spectral cache (:func:`cached_decomposition`,
+    :func:`cached_kernel`), keyed by Laplacian content — constructing
     a second backend for the same Laplacian (a sweep point that varies
     only shots or threshold, or a diagnostics pass after a fit) skips the
     O(n³) eigensolve and, at equal ``precision_bits``, the kernel build.
@@ -313,7 +237,7 @@ class AnalyticQPEBackend:
         padded = pad_laplacian(laplacian)
         self.dim = padded.shape[0]
         fingerprint = laplacian_fingerprint(padded)
-        self._eigenvalues, self._eigenvectors = SPECTRAL_CACHE.decomposition(
+        self._eigenvalues, self._eigenvectors = cached_decomposition(
             fingerprint, padded
         )
         phases = self._eigenvalues / self.lambda_scale
@@ -323,7 +247,7 @@ class AnalyticQPEBackend:
                 "symmetric normalization"
             )
         # kernel[j, y] = Pr[readout y | eigenvector j]
-        self._kernel = SPECTRAL_CACHE.kernel(fingerprint, precision_bits, phases)
+        self._kernel = cached_kernel(fingerprint, precision_bits, phases)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -504,7 +428,7 @@ class CircuitQPEBackend:
         if evolution == "exact":
             # The exact evolution only needs the spectrum, so it shares the
             # content-keyed decomposition cache with the analytic backend.
-            eigenvalues, eigenvectors = SPECTRAL_CACHE.decomposition(
+            eigenvalues, eigenvectors = cached_decomposition(
                 laplacian_fingerprint(padded), padded
             )
             unitary = SpectralDecomposition(

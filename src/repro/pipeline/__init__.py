@@ -10,18 +10,14 @@ Public surface:
   for new stages;
 * :mod:`~repro.pipeline.telemetry` — per-stage profiling
   (``stage_totals`` feeds the sweep-artifact profile field);
-* :mod:`~repro.pipeline.checkpoint` — the ``<stage>.npz`` on-disk format;
+* :mod:`~repro.pipeline.checkpoint` — the content-store keys of stage and
+  shard checkpoints;
 * :mod:`~repro.pipeline.sharding` / :mod:`~repro.pipeline.supervisor` —
   deterministic row-sharding of the readout stage under a supervised
   work queue (``sharded_readout``, ``ShardSupervisor``).
 """
 
-from repro.pipeline.checkpoint import (
-    CHECKPOINT_VERSION,
-    has_stage_checkpoint,
-    load_stage_payload,
-    save_stage_payload,
-)
+from repro.pipeline.checkpoint import CHECKPOINT_VERSION
 from repro.pipeline.pipeline import QSCPipeline
 from repro.pipeline.sharding import (
     RowShard,
@@ -61,10 +57,7 @@ __all__ = [
     "StageReport",
     "SupervisorCancelled",
     "build_stages",
-    "has_stage_checkpoint",
-    "load_stage_payload",
     "reset_stage_totals",
-    "save_stage_payload",
     "shard_layout",
     "sharded_readout",
     "stage_totals",

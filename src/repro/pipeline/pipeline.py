@@ -9,11 +9,12 @@ this driver runs it as five composable stages
   streams from the config seed and executes the same code the monolithic
   ``fit`` did, so outputs are bit-for-bit unchanged at a fixed seed
   (golden-pinned in ``tests/pipeline/test_golden.py``);
-* **checkpointable** — ``run(graph, save_stages=DIR)`` writes one
-  ``<stage>.npz`` per stage; ``run(graph, resume_from="readout",
-  stages_dir=DIR)`` loads everything upstream of ``readout`` from those
-  files and recomputes only ``readout`` onward.  Because each stage owns an
-  independent spawned stream, a resumed run equals the full run exactly;
+* **checkpointable** — ``run(graph, save_stages=DIR)`` publishes every
+  stage into the content store rooted at ``DIR``; ``run(graph,
+  resume_from="readout", save_stages=DIR)`` loads everything upstream of
+  ``readout`` from it and recomputes only ``readout`` onward.  Because each
+  stage owns an independent spawned stream, a resumed run equals the full
+  run exactly;
 * **profiled** — every stage execution is timed and bracketed with
   spectral-cache counters; the per-run profile lands in
   ``QSCResult.profile`` and the process-wide totals
@@ -36,7 +37,7 @@ from repro.exceptions import ClusteringError
 from repro.pipeline import checkpoint, telemetry
 from repro.pipeline.stage import StageContext
 from repro.pipeline.stages import STAGE_NAMES, build_stages
-from repro.store import active_store, configure_store
+from repro.store import ContentStore, active_store, configure_store
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 #: Names of the per-stage RNG streams, in spawn order (the historical
@@ -89,7 +90,6 @@ class QSCPipeline:
         *,
         save_stages=None,
         resume_from: str | None = None,
-        stages_dir=None,
         upstream: dict | None = None,
     ) -> QSCResult:
         """Execute the staged pipeline on ``graph``.
@@ -99,16 +99,15 @@ class QSCPipeline:
         graph:
             The mixed graph to cluster.
         save_stages:
-            Directory to checkpoint every computed stage into (created if
-            needed); ``None`` skips checkpointing.
+            Root of the content store (:class:`~repro.store.ContentStore`)
+            to checkpoint every computed stage into and resume from
+            (created if needed).  ``None`` uses the shared store when one
+            is attached, and otherwise skips checkpointing.
         resume_from:
             Stage name to resume at: every stage *before* it is loaded
-            from ``upstream`` / ``stages_dir`` instead of computed, and it
-            plus everything downstream runs for real.  ``None`` (default)
-            computes all five stages.
-        stages_dir:
-            Checkpoint directory to load upstream stages from; defaults
-            to ``save_stages`` when resuming.
+            from ``upstream`` / the checkpoint store instead of computed,
+            and it plus everything downstream runs for real.  ``None``
+            (default) computes all five stages.
         upstream:
             In-memory stage state (a previous run's ``pipeline.state``) to
             reuse instead of reading checkpoints — the zero-copy resume
@@ -116,14 +115,13 @@ class QSCPipeline:
 
         Notes
         -----
-        When the config carries ``store_dir`` (or a shared content store
-        is already attached — see :mod:`repro.store`), checkpoints also
-        resolve *through the store*: every cleanly computed stage is
-        published under its context fingerprint, resuming falls back to
-        the store when the run directory lacks (or holds a corrupt copy
-        of) a stage file, and a corrupt run-dir checkpoint is evicted and
-        recomputed instead of aborting the resume.  Per-run directories
-        keep working unchanged as a compatibility alias.
+        A run uses exactly one checkpoint store: ``ContentStore(root=
+        save_stages)`` when ``save_stages`` is given, otherwise the shared
+        store (attached by ``QSCConfig.store_dir`` — see
+        :mod:`repro.store`).  Every cleanly computed stage is published
+        under its context fingerprint.  A corrupt entry is evicted and its
+        stage recomputed.  An entry missing under ``save_stages`` is a
+        hard error; under the shared store the stage is recomputed.
 
         Returns
         -------
@@ -144,19 +142,19 @@ class QSCPipeline:
                     f"{', '.join(STAGE_NAMES)}"
                 )
             resume_index = STAGE_NAMES.index(resume_from)
-        if stages_dir is None:
-            stages_dir = save_stages
         # A config carrying ``store_dir`` attaches the shared content
         # store for this (worker) process — the mechanism that makes the
         # store propagate under any multiprocessing start method.
         if cfg.store_dir is not None:
             configure_store(root=cfg.store_dir)
-        store = active_store()
-        if resume_index > 0 and upstream is None and stages_dir is None and store is None:
+        if save_stages is not None:
+            checkpoints = ContentStore(root=save_stages)
+        else:
+            checkpoints = active_store()
+        if resume_index > 0 and upstream is None and checkpoints is None:
             raise ClusteringError(
                 f"resume_from={resume_from!r} needs checkpoints: pass "
-                "stages_dir/save_stages, a store_dir, or an in-memory "
-                "upstream state"
+                "save_stages, a store_dir, or an in-memory upstream state"
             )
         if resume_index > 0 and upstream is not None:
             blocked = [
@@ -178,15 +176,11 @@ class QSCPipeline:
             config=cfg,
             requested_clusters=self.num_clusters,
             rngs=dict(zip(RNG_STREAMS, streams)),
-            save_dir=save_stages,
-            load_dir=stages_dir,
+            checkpoints=checkpoints,
         )
         reports = []
         degraded: list[str] = []
-        self._run_stages(
-            ctx, reports, degraded, resume_index, upstream,
-            stages_dir, save_stages, store,
-        )
+        self._run_stages(ctx, reports, degraded, resume_index, upstream, save_stages)
 
         if degraded:
             # Mark the state so reusing it in memory (``upstream=
@@ -205,13 +199,12 @@ class QSCPipeline:
         degraded: list,
         resume_index: int,
         upstream: dict | None,
-        stages_dir,
         save_stages,
-        store,
     ) -> None:
         """Execute (or load) every stage, appending telemetry reports."""
         cfg = self.config
         graph = ctx.graph
+        checkpoints = ctx.checkpoints
         # The graph digest is the costly part of every stage's context
         # fingerprint and the same for all of them: compute it once.
         graph_digest = checkpoint.graph_fingerprint(graph)
@@ -223,9 +216,9 @@ class QSCPipeline:
             ctx.backend_info = {}
             # The context fingerprint binds a checkpoint to everything the
             # stage's output depends on (graph content, requested k, its
-            # cumulative config fields) — loading under a different graph
-            # or an upstream-relevant config change is a hard error, not
-            # silently stale state.  In-memory `upstream` reuse is exempt:
+            # cumulative config fields) — a different graph or an
+            # upstream-relevant config change looks up a different key,
+            # never stale state.  In-memory `upstream` reuse is exempt:
             # the caller explicitly hands over state it owns (the fig4
             # pattern, where only downstream fields differ).
             fingerprint = checkpoint.context_fingerprint(
@@ -235,6 +228,7 @@ class QSCPipeline:
                 stage.fingerprint_fields,
             )
             ctx.fingerprint = fingerprint
+            key = checkpoint.store_key(stage.name, fingerprint)
             values = None
             source = "computed"
             if index < resume_index:
@@ -242,38 +236,26 @@ class QSCPipeline:
                     values = {key: upstream[key] for key in stage.provides}
                     source = "reused"
                 else:
-                    payload = None
-                    corrupt = False
-                    if stages_dir is not None and checkpoint.has_stage_checkpoint(
-                        stages_dir, stage.name
-                    ):
-                        try:
-                            payload = checkpoint.load_stage_payload(
-                                stages_dir, stage.name, fingerprint
-                            )
-                        except checkpoint.CorruptCheckpointError:
-                            # Corrupt checkpoints are evicted and the
-                            # stage recomputed — damaged bits are never
-                            # served, and the rewrite below heals the file.
-                            checkpoint.evict_stage_checkpoint(
-                                stages_dir, stage.name
-                            )
-                            corrupt = True
-                    if payload is None and store is not None:
-                        payload = store.get(
-                            checkpoint.STAGE_NAMESPACE,
-                            checkpoint.store_key(stage.name, fingerprint),
-                        )
+                    evictions = checkpoints.counters()["corrupt_evictions"]
+                    payload = checkpoints.get(checkpoint.STAGE_NAMESPACE, key)
                     if payload is not None:
                         values = stage.unpack(payload, ctx)
                         source = "checkpoint"
-                    elif not corrupt and store is None:
-                        # The classic contract: resuming over a plainly
-                        # missing run-dir checkpoint (no store attached to
-                        # fall back on) is a hard error, not a silent
-                        # recompute.  This call raises it.
-                        checkpoint.load_stage_payload(
-                            stages_dir, stage.name, fingerprint
+                    elif (
+                        save_stages is not None
+                        and checkpoints.counters()["corrupt_evictions"] == evictions
+                    ):
+                        # A corrupt entry was evicted by the get above and
+                        # is simply recomputed (the put below heals it).
+                        # Plain absence under an explicit directory is the
+                        # classic configuration error, not a silent
+                        # recompute.
+                        raise ClusteringError(
+                            f"no checkpoint for stage {stage.name!r} in "
+                            f"{save_stages}: it was never saved, or it was "
+                            "written for a different run context (graph, "
+                            "cluster count, or an upstream config field "
+                            "changed); run with save_stages first"
                         )
             if values is None:
                 values = stage.execute(ctx)
@@ -284,21 +266,13 @@ class QSCPipeline:
                 # checkpointed whole, and neither is anything downstream
                 # of it: downstream outputs are computed from zeroed rows
                 # yet would fingerprint exactly like complete ones.  The
-                # completed shard files remain, so a later resume
+                # completed shard entries remain, so a later resume
                 # recomputes only what is actually missing instead of
                 # silently inheriting zero rows.
-                if not degraded and (save_stages is not None or store is not None):
-                    packed = stage.pack(values)
-                    if save_stages is not None:
-                        checkpoint.save_stage_payload(
-                            save_stages, stage.name, packed, fingerprint
-                        )
-                    if store is not None:
-                        store.put(
-                            checkpoint.STAGE_NAMESPACE,
-                            checkpoint.store_key(stage.name, fingerprint),
-                            packed,
-                        )
+                if not degraded and checkpoints is not None:
+                    checkpoints.put(
+                        checkpoint.STAGE_NAMESPACE, key, stage.pack(values)
+                    )
             seconds = time.perf_counter() - start
             cache_after = spectral_cache_stats()
             ctx.state.update(values)

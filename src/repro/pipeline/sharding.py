@@ -16,10 +16,11 @@ a single bit of the merged result:
   count, executor, retry schedule or completion order is bit-identical to
   the unsharded stage (golden-pinned in ``tests/pipeline/test_sharding.py``).
 
-Each completed shard can be checkpointed as ``readout.shard-<i>.npz``
-next to the regular stage checkpoints, stamped with the stage's context
-fingerprint *plus* the shard layout.  A crashed run resumes by loading the
-completed shards and recomputing only the missing ones; a degraded run
+Each completed shard can be checkpointed as a ``readout.shard-<i>`` entry
+of the run's checkpoint store, next to the regular stage checkpoints and
+keyed by the stage's context fingerprint *plus* the shard layout.  A
+crashed run resumes by loading the completed shards and recomputing only
+the missing ones; a degraded run
 (``shard_failure_mode="degrade"``) returns partial results with the failed
 shards' rows zeroed and their indices reported in ``incomplete_shards``.
 """
@@ -46,7 +47,6 @@ from repro.pipeline.supervisor import (
     ShardTask,
 )
 from repro.pipeline.telemetry import ShardReport
-from repro.store import active_store
 from repro.utils.rng import spawn_rngs
 
 
@@ -72,7 +72,7 @@ def shard_layout(num_rows: int, shard_count: int) -> tuple[RowShard, ...]:
     ``num_rows``; the surplus shards are empty and complete trivially.
     The layout depends on nothing else — not the executor, not the config
     — so a resuming run with the same ``(num_rows, shard_count)`` maps
-    shard files back to identical spans.
+    shard entries back to identical spans.
     """
     if shard_count < 1:
         raise ClusteringError(f"shard_count must be >= 1, got {shard_count}")
@@ -89,7 +89,7 @@ def shard_layout(num_rows: int, shard_count: int) -> tuple[RowShard, ...]:
 
 
 def shard_checkpoint_name(stage_name: str, shard_index: int) -> str:
-    """Checkpoint-file stem of one shard (``<stage>.shard-<i>``)."""
+    """Checkpoint name of one shard (``<stage>.shard-<i>``)."""
     return f"{stage_name}.shard-{shard_index}"
 
 
@@ -99,10 +99,10 @@ def shard_fingerprint(
     """Context fingerprint of one shard checkpoint.
 
     Extends the stage's run-context fingerprint with the shard layout so a
-    shard file is only ever loaded back into the *same* span of the same
-    decomposition — a shard file left over from a different shard count or
-    run configuration is a hard :class:`~repro.exceptions.ClusteringError`
-    (delete the stale shard files, or the directory, to re-shard).
+    shard entry is only ever loaded back into the *same* span of the same
+    decomposition — an entry left over from a different shard count or run
+    configuration has a different key, is never looked up, and the shard
+    simply recomputes.
     """
     return (
         f"{context_fingerprint}/rows={num_rows}"
@@ -193,8 +193,7 @@ def sharded_readout(
     retries: int = 2,
     on_failure: str = "raise",
     max_workers: int | None = None,
-    checkpoint_dir=None,
-    save_dir=None,
+    checkpoints=None,
     context_fingerprint: str = "",
     stage_name: str = "readout",
 ) -> ShardedReadout:
@@ -217,20 +216,17 @@ def sharded_readout(
         ``max_workers=None`` caps in-flight attempts at
         :func:`default_max_workers` (one per core) rather than running
         every shard at once.
-    checkpoint_dir:
-        Directory to load completed shard checkpoints from (crash
-        resume); shards found there are not re-run.  A shard file whose
-        fingerprint does not match this run is a hard error.
-    save_dir:
-        Directory to write shard checkpoints into as shards complete —
-        written by the supervising parent, so results survive both worker
-        *and* parent crashes.
+    checkpoints:
+        :class:`~repro.store.ContentStore` of shard checkpoints, or
+        ``None``.  Shards found there are not re-run (crash resume), and
+        each shard is written there as it completes — by the supervising
+        parent, so results survive both worker *and* parent crashes.
     context_fingerprint:
         The stage's run-context fingerprint
         (:func:`repro.pipeline.checkpoint.context_fingerprint`), extended
         per shard with the layout.
     stage_name:
-        Stem of the shard checkpoint files.
+        Stem of the shard checkpoint names.
 
     Returns
     -------
@@ -246,35 +242,20 @@ def sharded_readout(
     row_rngs = spawn_rngs(rng, num_rows)
     options = {"chunk_size": chunk_size, "draw_threads": draw_threads}
 
-    store = active_store()
+    def shard_key(shard: RowShard) -> str:
+        return checkpoint.store_key(
+            shard_checkpoint_name(stage_name, shard.index),
+            shard_fingerprint(context_fingerprint, num_rows, shard_count, shard),
+        )
+
     payloads: dict[int, dict] = {}
     reports: dict[int, ShardReport] = {}
     tasks = []
     for shard in layout:
-        fingerprint = shard_fingerprint(
-            context_fingerprint, num_rows, shard_count, shard
-        )
-        name = shard_checkpoint_name(stage_name, shard.index)
         load_start = time.perf_counter()
         payload = None
-        if checkpoint_dir is not None and checkpoint.has_stage_checkpoint(
-            checkpoint_dir, name
-        ):
-            try:
-                payload = checkpoint.load_stage_payload(
-                    checkpoint_dir, name, fingerprint
-                )
-            except checkpoint.CorruptCheckpointError:
-                # A corrupt shard file is evicted and *only this shard*
-                # recomputed — the sibling checkpoints stay trusted, so
-                # a damaged entry costs one shard, never the stage.
-                checkpoint.evict_stage_checkpoint(checkpoint_dir, name)
-        if payload is None and store is not None:
-            # Shared-store resolution: a shard computed by any process
-            # under this exact context/layout fingerprint serves here.
-            payload = store.get(
-                checkpoint.SHARD_NAMESPACE, checkpoint.store_key(name, fingerprint)
-            )
+        if checkpoints is not None:
+            payload = checkpoints.get(checkpoint.SHARD_NAMESPACE, shard_key(shard))
         if payload is not None:
             payloads[shard.index] = {
                 "rows": np.asarray(payload["rows"], dtype=complex),
@@ -316,23 +297,11 @@ def sharded_readout(
             # Checkpoint the moment a shard succeeds: completed work
             # survives both a later shard aborting the run and a parent
             # crash, which is what makes crash-resume recompute only the
-            # genuinely missing shards.  The shared store is written too
-            # (when attached), so the shard also serves sibling processes.
-            if save_dir is None and store is None:
-                return
-            shard = layout[outcome.index]
-            name = shard_checkpoint_name(stage_name, shard.index)
-            fingerprint = shard_fingerprint(
-                context_fingerprint, num_rows, shard_count, shard
-            )
-            if save_dir is not None:
-                checkpoint.save_stage_payload(
-                    save_dir, name, outcome.value, fingerprint
-                )
-            if store is not None:
-                store.put(
+            # genuinely missing shards.
+            if checkpoints is not None:
+                checkpoints.put(
                     checkpoint.SHARD_NAMESPACE,
-                    checkpoint.store_key(name, fingerprint),
+                    shard_key(layout[outcome.index]),
                     outcome.value,
                 )
 

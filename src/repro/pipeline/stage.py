@@ -51,12 +51,12 @@ class StageContext:
         downstream stream is unaffected.
     state:
         The shared key → value store stages read from and write to.
-    save_dir / load_dir:
-        Checkpoint directories of the current run (``save_stages`` /
-        ``stages_dir``), exposed so a stage that manages *sub-stage*
-        checkpoints — the sharded readout's ``readout.shard-<i>.npz``
-        files — can write and resume them itself.  ``None`` when the run
-        is not checkpointing.
+    checkpoints:
+        The run's checkpoint :class:`~repro.store.ContentStore` (rooted
+        at ``save_stages``, or the attached shared store), exposed so a
+        stage that manages *sub-stage* checkpoints — the sharded
+        readout's per-shard entries — can write and resume them itself.
+        ``None`` when the run is not checkpointing.
     fingerprint:
         The executing stage's context fingerprint, set by the driver
         before each stage; sub-stage checkpoints extend it.
@@ -77,8 +77,7 @@ class StageContext:
     requested_clusters: object
     rngs: dict
     state: dict = field(default_factory=dict)
-    save_dir: object = None
-    load_dir: object = None
+    checkpoints: object = None
     fingerprint: str = ""
     shard_reports: tuple = ()
     incomplete_shards: tuple = ()
@@ -102,7 +101,7 @@ class Stage:
     non-resumable).
     """
 
-    #: Stage name — the ``--resume-from`` / checkpoint-file identifier.
+    #: Stage name — the ``--resume-from`` / checkpoint-key identifier.
     name: str = ""
     #: State keys the stage reads.
     requires: tuple = ()
@@ -110,9 +109,9 @@ class Stage:
     provides: tuple = ()
     #: ``QSCConfig`` fields this stage's output depends on, cumulative
     #: with its upstream — the checkpoint context fingerprint hashes these
-    #: (plus graph content and the requested cluster count), so resuming
-    #: against state written under an incompatible run is a hard error
-    #: while fields the output provably ignores may differ freely.
+    #: (plus graph content and the requested cluster count), so state
+    #: written under an incompatible run is never served while fields the
+    #: output provably ignores may differ freely.
     fingerprint_fields: tuple = ()
     #: Whether the output depends on the requested cluster count (only
     #: the laplacian stage's does not — k first matters at threshold).

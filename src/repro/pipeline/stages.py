@@ -238,8 +238,7 @@ class ReadoutStage(Stage):
                 retries=cfg.shard_retries,
                 on_failure=cfg.shard_failure_mode,
                 max_workers=cfg.shard_workers,
-                checkpoint_dir=ctx.load_dir,
-                save_dir=ctx.save_dir,
+                checkpoints=ctx.checkpoints,
                 context_fingerprint=ctx.fingerprint,
                 stage_name=self.name,
             )

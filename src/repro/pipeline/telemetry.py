@@ -65,7 +65,7 @@ class ShardReport:
         ``> 1`` means the shard was retried).
     source:
         ``"computed"`` (a worker produced it), ``"checkpoint"`` (loaded
-        from a shard file of a previous run), or ``"failed"`` (every
+        from a shard entry of a previous run), or ``"failed"`` (every
         attempt failed and the run degraded to partial results).
     error:
         Last failure message for ``source == "failed"``, else ``None``.
@@ -106,12 +106,14 @@ class StageReport:
         Wall time of the stage (compute, checkpoint load, or in-memory
         reuse — whichever path ran).
     source:
-        ``"computed"`` (ran for real), ``"checkpoint"`` (loaded from a
-        ``--save-stages`` directory), or ``"reused"`` (taken from another
+        ``"computed"`` (ran for real), ``"checkpoint"`` (loaded from the
+        run's checkpoint store — the ``--save-stages`` directory or the
+        shared ``--store-dir`` store), or ``"reused"`` (taken from another
         run's in-memory state).
     cache_hits / cache_misses:
         Spectral-cache delta bracketing the stage — how much of its
-        spectral work was served from :data:`repro.core.qpe_engine.SPECTRAL_CACHE`.
+        spectral work was served from the store's ``"spectral"``
+        namespace (:func:`repro.core.qpe_engine.spectral_cache_stats`).
     shards:
         Per-shard :class:`ShardReport` rows when the stage ran sharded
         (``QSCConfig.readout_shards``); empty otherwise.

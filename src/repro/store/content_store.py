@@ -2,14 +2,15 @@
 
 :class:`ContentStore` is the persistence tier underneath every cached
 computation in the repo: spectral eigendecompositions and QPE kernels
-(:mod:`repro.core.qpe_engine` keeps ``SPECTRAL_CACHE`` as a thin view over
-it), whole stage checkpoints, and per-shard readout checkpoints
-(:mod:`repro.pipeline.pipeline` / :mod:`repro.pipeline.sharding` resolve
-through it, with classic per-run directories kept as a compatibility
-alias).  Entries are **content-addressed**: the key of an entry is derived
-from fingerprints of everything its payload depends on (Laplacian bytes,
-run-context digests, shard layout), so a warm store can serve repeat
-traffic across a fleet of worker processes and never serve stale bits.
+(the ``"spectral"`` namespace :mod:`repro.core.qpe_engine` reads and
+writes), whole stage checkpoints, and per-shard readout checkpoints
+(:mod:`repro.pipeline.pipeline` / :mod:`repro.pipeline.sharding` keep
+them in the shared store, or in a ``ContentStore(root=DIR)`` of their
+own when a run passes ``save_stages=DIR``).  Entries are
+**content-addressed**: the key of an entry is derived from fingerprints
+of everything its payload depends on (Laplacian bytes, run-context
+digests, shard layout), so a warm store can serve repeat traffic across
+a fleet of worker processes and never serve stale bits.
 
 Two tiers:
 
@@ -618,9 +619,9 @@ class ContentStore:
 
 _UNSET = object()
 
-#: The process-wide store every consumer shares: ``SPECTRAL_CACHE`` is a
-#: view over it, and the pipeline/sharding checkpoint paths resolve
-#: through it once a disk root is attached (``QSCConfig.store_dir``).
+#: The process-wide store every consumer shares: the spectral cache lives
+#: in its ``"spectral"`` namespace, and the pipeline/sharding checkpoint
+#: paths use it once a disk root is attached (``QSCConfig.store_dir``).
 GLOBAL_STORE = ContentStore()
 
 
@@ -632,9 +633,9 @@ def get_store() -> ContentStore:
 def active_store() -> ContentStore | None:
     """The global store when it is enabled *and* has a disk root attached.
 
-    The pipeline and sharding checkpoint paths only consult the store in
-    that state — a memory-only store adds nothing over the per-run
-    directories they already handle.
+    A run without ``save_stages`` checkpoints into this store, and only
+    in that state: checkpoints must outlive the process, which a
+    memory-only store cannot give them.
     """
     store = GLOBAL_STORE
     if store.enabled and store.root is not None:

@@ -46,11 +46,11 @@ def counter_poking_trial(point, trial, seed, rng) -> list:
     matter which worker process ran which task."""
     import numpy as np
 
-    from repro.core.qpe_engine import SPECTRAL_CACHE
+    from repro.core.qpe_engine import cached_decomposition
 
     fingerprint = f"counter-poke-{seed}"
-    SPECTRAL_CACHE.decomposition(fingerprint, np.eye(2) * float(seed))  # miss
-    SPECTRAL_CACHE.decomposition(fingerprint)  # guaranteed hit
+    cached_decomposition(fingerprint, np.eye(2) * float(seed))  # miss
+    cached_decomposition(fingerprint)  # guaranteed hit
     return [
         TrialRecord(
             experiment="TOY",

@@ -1,11 +1,10 @@
-"""Tests for the content-keyed spectral cache in ``repro.core.qpe_engine``."""
+"""Tests for the content-keyed spectral cache in ``repro.core.qpe_engine``
+(the ``"spectral"`` namespace of the process-wide content store)."""
 
 import numpy as np
 import pytest
 
 from repro.core.qpe_engine import (
-    SPECTRAL_CACHE,
-    SPECTRAL_CACHE_MAX_BYTES,
     AnalyticQPEBackend,
     CircuitQPEBackend,
     clear_spectral_cache,
@@ -14,16 +13,17 @@ from repro.core.qpe_engine import (
 )
 from repro.exceptions import ClusteringError
 from repro.graphs import ensure_connected, hermitian_laplacian, mixed_sbm
+from repro.store import DEFAULT_MEMORY_BYTES, configure_store
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
     """Every test starts from an empty, default-configured cache."""
     clear_spectral_cache()
-    SPECTRAL_CACHE.configure(max_bytes=SPECTRAL_CACHE_MAX_BYTES, enabled=True)
+    configure_store(max_memory_bytes=DEFAULT_MEMORY_BYTES, enabled=True)
     yield
     clear_spectral_cache()
-    SPECTRAL_CACHE.configure(max_bytes=SPECTRAL_CACHE_MAX_BYTES, enabled=True)
+    configure_store(max_memory_bytes=DEFAULT_MEMORY_BYTES, enabled=True)
 
 
 def make_laplacian(seed=3, num_nodes=20):
@@ -102,7 +102,7 @@ class TestTransparency:
         laplacian = make_laplacian()
         cached = AnalyticQPEBackend(laplacian, 5)
         cached_again = AnalyticQPEBackend(laplacian, 5)
-        SPECTRAL_CACHE.configure(enabled=False)
+        configure_store(enabled=False)
         uncached = AnalyticQPEBackend(laplacian, 5)
         for other in (cached_again, uncached):
             assert np.array_equal(cached._kernel, other._kernel)
@@ -110,7 +110,7 @@ class TestTransparency:
             assert np.array_equal(cached._eigenvectors, other._eigenvectors)
 
     def test_disabled_cache_stores_and_counts_nothing(self):
-        SPECTRAL_CACHE.configure(enabled=False)
+        configure_store(enabled=False)
         AnalyticQPEBackend(make_laplacian(), 4)
         stats = spectral_cache_stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
@@ -119,7 +119,7 @@ class TestTransparency:
 
 class TestMemoryBound:
     def test_lru_eviction_keeps_bytes_under_budget(self):
-        SPECTRAL_CACHE.configure(max_bytes=40_000)
+        configure_store(max_memory_bytes=40_000)
         for seed in range(6):
             AnalyticQPEBackend(make_laplacian(seed=seed, num_nodes=24), 6)
         stats = spectral_cache_stats()
@@ -127,7 +127,7 @@ class TestMemoryBound:
         assert stats["evictions"] > 0
 
     def test_least_recently_used_goes_first(self):
-        SPECTRAL_CACHE.configure(max_bytes=40_000)
+        configure_store(max_memory_bytes=40_000)
         hot = make_laplacian(seed=0, num_nodes=24)
         AnalyticQPEBackend(hot, 6)
         for seed in range(1, 5):
@@ -139,15 +139,15 @@ class TestMemoryBound:
         assert spectral_cache_stats()["hits"] == hits_before + 2
 
     def test_entry_larger_than_budget_is_not_stored(self):
-        SPECTRAL_CACHE.configure(max_bytes=1)
+        configure_store(max_memory_bytes=1)
         AnalyticQPEBackend(make_laplacian(), 4)
         stats = spectral_cache_stats()
         assert stats["entries"] == 0 and stats["bytes"] == 0
 
     def test_zero_budget_is_allowed_negative_is_not(self):
-        SPECTRAL_CACHE.configure(max_bytes=0)
+        configure_store(max_memory_bytes=0)
         with pytest.raises(ClusteringError):
-            SPECTRAL_CACHE.configure(max_bytes=-1)
+            configure_store(max_memory_bytes=-1)
 
     def test_clear_resets_entries_and_counters(self):
         laplacian = make_laplacian()

@@ -97,6 +97,6 @@ def test_resumed_run_matches_golden(tmp_path):
     graph, k, config = build_case("analytic_shots")
     QSCPipeline(k, config).run(graph, save_stages=tmp_path)
     resumed = QSCPipeline(k, config).run(
-        graph, resume_from="readout", stages_dir=tmp_path
+        graph, resume_from="readout", save_stages=tmp_path
     )
     assert result_digest(resumed) == GOLDEN["analytic_shots"]

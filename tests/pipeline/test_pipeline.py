@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from checkpoint_entries import stage_entry, stage_fingerprint
 
 from repro import QSCConfig, QSCPipeline
 from repro.exceptions import ClusteringError
@@ -10,13 +11,11 @@ from repro.pipeline import (
     STAGE_NAMES,
     StageContext,
     build_stages,
-    has_stage_checkpoint,
-    load_stage_payload,
     reset_stage_totals,
-    save_stage_payload,
     stage_totals,
 )
-from repro.pipeline.checkpoint import CHECKPOINT_VERSION, stage_path
+from repro.pipeline.checkpoint import CHECKPOINT_VERSION, STAGE_NAMESPACE
+from repro.store import ContentStore
 
 
 @pytest.fixture
@@ -72,10 +71,11 @@ class TestStageContract:
         ctx = StageContext(
             graph=graph, config=CONFIG, requested_clusters=2, rngs={}
         )
+        store = ContentStore(root=tmp_path)
         for stage in build_stages():
             values = {key: pipeline.state[key] for key in stage.provides}
-            save_stage_payload(tmp_path, stage.name, stage.pack(values))
-            restored = stage.unpack(load_stage_payload(tmp_path, stage.name), ctx)
+            store.put(STAGE_NAMESPACE, stage.name, stage.pack(values))
+            restored = stage.unpack(store.get(STAGE_NAMESPACE, stage.name), ctx)
             for key in stage.provides:
                 if key == "backend":
                     assert restored[key].name == values[key].name
@@ -90,24 +90,36 @@ class TestStageContract:
 
 
 class TestCheckpointFormat:
-    def test_files_written_per_stage(self, graph, tmp_path):
+    def test_entries_written_per_stage(self, graph, tmp_path):
         QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
         for name in STAGE_NAMES:
-            assert has_stage_checkpoint(tmp_path, name)
-            assert stage_path(tmp_path, name).suffix == ".npz"
+            assert stage_entry(tmp_path, graph, CONFIG, 2, name).exists()
+        assert ContentStore(root=tmp_path).verify()["ok"] == len(STAGE_NAMES)
 
-    def test_missing_checkpoint_errors(self, tmp_path):
+    def test_missing_checkpoint_errors(self, graph, tmp_path):
         with pytest.raises(ClusteringError, match="no checkpoint"):
-            load_stage_payload(tmp_path, "readout")
+            QSCPipeline(2, CONFIG).run(
+                graph, resume_from="readout", save_stages=tmp_path
+            )
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        np.savez_compressed(
-            stage_path(tmp_path, "embedding"),
-            features=np.zeros((2, 2)),
-            __checkpoint_version__=np.asarray(CHECKPOINT_VERSION + 1),
-        )
-        with pytest.raises(ClusteringError, match="version"):
-            load_stage_payload(tmp_path, "embedding")
+    def test_other_version_entry_not_served(self, graph, tmp_path):
+        """An entry keyed under another checkpoint version is never looked
+        up, so a format bump cannot misread old entries."""
+        pipeline = QSCPipeline(2, CONFIG)
+        pipeline.run(graph)
+        store = ContentStore(root=tmp_path)
+        for stage in build_stages()[:2]:
+            values = {key: pipeline.state[key] for key in stage.provides}
+            fingerprint = stage_fingerprint(graph, CONFIG, 2, stage.name)
+            store.put(
+                STAGE_NAMESPACE,
+                f"v{CHECKPOINT_VERSION + 1}:{stage.name}@{fingerprint}",
+                stage.pack(values),
+            )
+        with pytest.raises(ClusteringError, match="no checkpoint"):
+            QSCPipeline(2, CONFIG).run(
+                graph, resume_from="readout", save_stages=tmp_path
+            )
 
 
 class TestResume:
@@ -116,7 +128,7 @@ class TestResume:
         full = QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
         resumed_pipeline = QSCPipeline(2, CONFIG)
         resumed = resumed_pipeline.run(
-            graph, resume_from=stage, stages_dir=tmp_path
+            graph, resume_from=stage, save_stages=tmp_path
         )
         assert results_equal(full, resumed)
         index = STAGE_NAMES.index(stage)
@@ -137,7 +149,7 @@ class TestResume:
             "linalg_backend": "dense",
             "eigensolver": "eigh",
         }
-        QSCPipeline(2, CONFIG).run(graph, resume_from="readout", stages_dir=tmp_path)
+        QSCPipeline(2, CONFIG).run(graph, resume_from="readout", save_stages=tmp_path)
         totals = stage_totals()
         for skipped in ("laplacian", "threshold"):
             assert totals[skipped]["computed"] == 1  # only the full run
@@ -167,7 +179,7 @@ class TestResume:
     def test_unknown_stage_errors(self, graph, tmp_path):
         with pytest.raises(ClusteringError, match="unknown stage"):
             QSCPipeline(2, CONFIG).run(
-                graph, resume_from="tomography", stages_dir=tmp_path
+                graph, resume_from="tomography", save_stages=tmp_path
             )
 
     def test_sparse_linalg_checkpoint_roundtrip(self, tmp_path):
@@ -177,7 +189,7 @@ class TestResume:
         pytest.importorskip("scipy")
         full = QSCPipeline(2, config).run(graph, save_stages=tmp_path)
         resumed = QSCPipeline(2, config).run(
-            graph, resume_from="threshold", stages_dir=tmp_path
+            graph, resume_from="threshold", save_stages=tmp_path
         )
         assert results_equal(full, resumed)
 
@@ -187,7 +199,7 @@ class TestResume:
         config = QSCConfig(backend="circuit", precision_bits=4, shots=128, seed=9)
         full = QSCPipeline(2, config).run(graph, save_stages=tmp_path)
         resumed = QSCPipeline(2, config).run(
-            graph, resume_from="readout", stages_dir=tmp_path
+            graph, resume_from="readout", save_stages=tmp_path
         )
         assert results_equal(full, resumed)
 
@@ -195,7 +207,7 @@ class TestResume:
         QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
         with pytest.raises(ClusteringError, match="different run context"):
             QSCPipeline(3, CONFIG).run(
-                graph, resume_from="readout", stages_dir=tmp_path
+                graph, resume_from="readout", save_stages=tmp_path
             )
 
     def test_resume_with_different_graph_rejected(self, graph, tmp_path):
@@ -204,7 +216,7 @@ class TestResume:
         ensure_connected(other, seed=99)
         with pytest.raises(ClusteringError, match="different run context"):
             QSCPipeline(2, CONFIG).run(
-                other, resume_from="readout", stages_dir=tmp_path
+                other, resume_from="readout", save_stages=tmp_path
             )
 
     def test_resume_with_upstream_config_drift_rejected(self, graph, tmp_path):
@@ -216,7 +228,7 @@ class TestResume:
         ):
             with pytest.raises(ClusteringError, match="different run context"):
                 QSCPipeline(2, drift).run(
-                    graph, resume_from="readout", stages_dir=tmp_path
+                    graph, resume_from="readout", save_stages=tmp_path
                 )
 
     def test_resume_with_downstream_only_drift_allowed(self, graph, tmp_path):
@@ -225,7 +237,7 @@ class TestResume:
         QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
         changed = CONFIG.with_updates(shots=64, readout_chunk_size=5)
         resumed = QSCPipeline(2, changed).run(
-            graph, resume_from="readout", stages_dir=tmp_path
+            graph, resume_from="readout", save_stages=tmp_path
         )
         full = QSCPipeline(2, changed).run(graph)
         assert results_equal(full, resumed)
@@ -237,7 +249,7 @@ class TestResume:
         with a different k legitimately reuses the laplacian checkpoint."""
         QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
         resumed = QSCPipeline(3, CONFIG).run(
-            graph, resume_from="threshold", stages_dir=tmp_path
+            graph, resume_from="threshold", save_stages=tmp_path
         )
         full = QSCPipeline(3, CONFIG).run(graph)
         assert results_equal(full, resumed)
@@ -255,7 +267,7 @@ class TestResume:
         assert len(np.unique(full.labels)) == 3
         resumed_pipeline = QSCPipeline("auto", config)
         resumed = resumed_pipeline.run(
-            graph, resume_from="readout", stages_dir=tmp_path
+            graph, resume_from="readout", save_stages=tmp_path
         )
         assert results_equal(full, resumed)
         assert resumed_pipeline.state["num_clusters"] == 3

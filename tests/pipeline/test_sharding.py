@@ -7,9 +7,9 @@ The contract under test (see ``repro/pipeline/sharding.py``):
   digest as the unsharded pipeline (``test_golden.GOLDEN``);
 * the supervisor retries crashed/hung shards with capped backoff, raises
   after exhausting retries, or degrades to partial results on request;
-* completed shards checkpoint as ``readout.shard-<i>.npz`` the moment
-  they finish, so a crashed run resumes recomputing only missing shards
-  and still lands on the golden digest.
+* completed shards checkpoint as ``readout.shard-<i>`` store entries the
+  moment they finish, so a crashed run resumes recomputing only missing
+  shards and still lands on the golden digest.
 
 ``FaultyShardExecutor`` is the deterministic fault-injection double: it
 fails exactly the scheduled ``(shard, attempt)`` pairs — a "crash" is an
@@ -22,6 +22,7 @@ import os
 
 import numpy as np
 import pytest
+from checkpoint_entries import shard_entry, stage_entry
 from test_golden import GOLDEN, build_case, result_digest
 
 from repro import QSCPipeline
@@ -131,23 +132,6 @@ def _readout_case():
     pipeline = QSCPipeline(k, config)
     result = pipeline.run(graph)
     return pipeline.state["backend"], pipeline.state["accepted"], config, result
-
-
-def _shard_store_entry(store, shard_name):
-    """Path of one shard's store entry, found by its embedded identity
-    (the address is an opaque digest, but every entry names itself)."""
-    import io
-
-    from repro.store.content_store import _HEADER_BYTES
-
-    root = store.root / checkpoint.SHARD_NAMESPACE
-    for path in sorted(root.rglob("*.cas")):
-        body = path.read_bytes()[_HEADER_BYTES:]
-        with np.load(io.BytesIO(body), allow_pickle=False) as archive:
-            identity = str(archive["__store_entry__"])
-        if f":{shard_name}@" in identity:
-            return path
-    raise AssertionError(f"no store entry for {shard_name}")
 
 
 def _run_sharded(graph, k, config, shards, tmp_path=None, **run_kwargs):
@@ -469,20 +453,25 @@ class TestFaultInjectionThroughPipeline:
         graph, k, config = build_case("analytic_shots")
         config = config.with_updates(shard_failure_mode="degrade")
         _run_sharded(graph, k, config, 3, save_stages=tmp_path)
+
+        def stored(name):
+            return stage_entry(tmp_path, graph, config, k, name).exists()
+
         # Completed shards checkpointed; the whole stage (with its zeroed
         # rows) must NOT be, so a later resume recomputes what is missing.
-        assert not checkpoint.has_stage_checkpoint(tmp_path, "readout")
-        assert checkpoint.has_stage_checkpoint(tmp_path, "readout.shard-0")
-        assert not checkpoint.has_stage_checkpoint(tmp_path, "readout.shard-1")
-        assert checkpoint.has_stage_checkpoint(tmp_path, "readout.shard-2")
+        assert not stored("readout")
+        assert [
+            shard_entry(tmp_path, graph, config, k, 3, i).exists()
+            for i in range(3)
+        ] == [True, False, True]
         # Downstream stages were computed from the zeroed rows and would
         # fingerprint like complete ones — they must not be checkpointed
         # either, so a resume can never skip past the degradation.
-        assert not checkpoint.has_stage_checkpoint(tmp_path, "embedding")
-        assert not checkpoint.has_stage_checkpoint(tmp_path, "qmeans")
+        assert not stored("embedding")
+        assert not stored("qmeans")
         # Stages upstream of the degradation are complete and keep theirs.
-        assert checkpoint.has_stage_checkpoint(tmp_path, "laplacian")
-        assert checkpoint.has_stage_checkpoint(tmp_path, "threshold")
+        assert stored("laplacian")
+        assert stored("threshold")
 
     def test_degraded_state_refuses_in_memory_downstream_reuse(
         self, monkeypatch
@@ -530,7 +519,7 @@ class TestCrashResume:
         persisted = [
             i
             for i in range(5)
-            if checkpoint.has_stage_checkpoint(tmp_path, f"readout.shard-{i}")
+            if shard_entry(tmp_path, graph, config, k, 5, i).exists()
         ]
         assert 3 not in persisted and persisted  # some survived, not 3
         monkeypatch.setattr(
@@ -545,14 +534,13 @@ class TestCrashResume:
         assert sources[3] == "computed"
 
     def test_resume_from_partial_shard_set(self, monkeypatch, tmp_path):
-        """Deleting the stage file + one shard recomputes only that shard."""
+        """Deleting one shard entry recomputes only that shard."""
         monkeypatch.setattr(
             sharding, "default_executor", lambda count: InlineShardExecutor()
         )
         graph, k, config = build_case("analytic_shots")
         _run_sharded(graph, k, config, 5, save_stages=tmp_path)
-        checkpoint.stage_path(tmp_path, "readout").unlink()
-        checkpoint.stage_path(tmp_path, "readout.shard-1").unlink()
+        shard_entry(tmp_path, graph, config, k, 5, 1).unlink()
         _, result = _run_sharded(
             graph, k, config, 5, save_stages=tmp_path, resume_from="readout"
         )
@@ -570,17 +558,16 @@ class TestCrashResume:
     def test_resume_recomputes_corrupted_shard_checkpoint(
         self, monkeypatch, tmp_path
     ):
-        """A bit-flipped shard archive heals: only that shard recomputes,
+        """A bit-flipped shard entry heals: only that shard recomputes,
         its siblings stay trusted, and the result is still golden."""
         monkeypatch.setattr(
             sharding, "default_executor", lambda count: InlineShardExecutor()
         )
         graph, k, config = build_case("analytic_shots")
         _run_sharded(graph, k, config, 5, save_stages=tmp_path)
-        checkpoint.stage_path(tmp_path, "readout").unlink()
-        shard_file = checkpoint.stage_path(tmp_path, "readout.shard-1")
+        shard_file = shard_entry(tmp_path, graph, config, k, 5, 1)
         blob = bytearray(shard_file.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF  # lands in the rows archive member
+        blob[len(blob) // 2] ^= 0xFF  # lands in the rows array
         shard_file.write_bytes(bytes(blob))
         _, result = _run_sharded(
             graph, k, config, 5, save_stages=tmp_path, resume_from="readout"
@@ -597,7 +584,6 @@ class TestCrashResume:
         }
         # The healed shard was re-checkpointed, so a second resume is
         # fully checkpoint-served.
-        checkpoint.stage_path(tmp_path, "readout").unlink()
         _, again = _run_sharded(
             graph, k, config, 5, save_stages=tmp_path, resume_from="readout"
         )
@@ -620,7 +606,7 @@ class TestCrashResume:
         config = config.with_updates(store_dir=str(tmp_path / "store"))
         _run_sharded(graph, k, config, 5)  # cold run fills the store
         store = get_store()
-        entry = _shard_store_entry(store, "readout.shard-1")
+        entry = shard_entry(store.root, graph, config, k, 5, 1)
         blob = bytearray(entry.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         entry.write_bytes(bytes(blob))
@@ -637,41 +623,65 @@ class TestCrashResume:
         }
         assert store.counters()["corrupt_evictions"] >= 1
 
-    def test_shard_checkpoint_rejects_different_context(
+    def test_shard_checkpoint_recomputes_different_context(
         self, monkeypatch, tmp_path
     ):
+        """A shard entry written under another run context has another
+        key: it is never looked up, and every shard recomputes."""
         monkeypatch.setattr(
             sharding, "default_executor", lambda count: InlineShardExecutor()
         )
         graph, k, config = build_case("analytic_shots")
         _run_sharded(graph, k, config, 3, save_stages=tmp_path)
-        checkpoint.stage_path(tmp_path, "readout").unlink()
-        with pytest.raises(ClusteringError, match="different run context"):
-            _run_sharded(
-                graph,
-                k,
-                config.with_updates(shots=config.shots * 2),
-                3,
-                save_stages=tmp_path,
-                resume_from="readout",
-            )
+        changed = config.with_updates(shots=config.shots * 2)
+        _, result = _run_sharded(
+            graph, k, changed, 3, save_stages=tmp_path, resume_from="readout"
+        )
+        readout = [r for r in result.profile if r["stage"] == "readout"][0]
+        assert all(row["source"] == "computed" for row in readout["shards"])
+        reference = QSCPipeline(k, changed).run(graph)
+        assert result_digest(result) == result_digest(reference)
 
-    def test_shard_checkpoint_rejects_different_layout(
+    def test_shard_checkpoint_recomputes_different_layout(
         self, monkeypatch, tmp_path
     ):
+        """Same run context, different decomposition: shard entries key
+        their layout, so re-sharding recomputes every shard."""
         monkeypatch.setattr(
             sharding, "default_executor", lambda count: InlineShardExecutor()
         )
         graph, k, config = build_case("analytic_shots")
         _run_sharded(graph, k, config, 3, save_stages=tmp_path)
-        checkpoint.stage_path(tmp_path, "readout").unlink()
-        # Same run context, different decomposition: shard files encode
-        # their layout, so they refuse to load into mismatched spans
-        # (delete them — or the directory — to re-shard).
-        with pytest.raises(ClusteringError, match="different run context"):
-            _run_sharded(
-                graph, k, config, 4, save_stages=tmp_path, resume_from="readout"
-            )
+        _, result = _run_sharded(
+            graph, k, config, 4, save_stages=tmp_path, resume_from="readout"
+        )
+        assert result_digest(result) == GOLDEN["analytic_shots"]
+        readout = [r for r in result.profile if r["stage"] == "readout"][0]
+        assert [row["source"] for row in readout["shards"]] == ["computed"] * 4
+
+    @pytest.mark.parametrize(
+        "writer_shards, reader_shards", [(5, None), (None, 3)]
+    )
+    def test_readout_entry_crosses_sharded_and_unsharded_runs(
+        self, monkeypatch, tmp_path, writer_shards, reader_shards
+    ):
+        """``readout_shards`` stays out of the fingerprint, so the merged
+        readout entry one layout writes serves the other layout's resume
+        at ``embedding`` through the same save_stages directory."""
+        monkeypatch.setattr(
+            sharding, "default_executor", lambda count: InlineShardExecutor()
+        )
+        graph, k, config = build_case("analytic_shots")
+        QSCPipeline(k, config.with_updates(readout_shards=writer_shards)).run(
+            graph, save_stages=tmp_path
+        )
+        result = QSCPipeline(
+            k, config.with_updates(readout_shards=reader_shards)
+        ).run(graph, save_stages=tmp_path, resume_from="embedding")
+        assert result_digest(result) == GOLDEN["analytic_shots"]
+        sources = {row["stage"]: row["source"] for row in result.profile}
+        assert sources["readout"] == "checkpoint"
+        assert sources["embedding"] == "computed"
 
 
 class TestShardTelemetry:

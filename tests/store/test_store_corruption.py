@@ -9,11 +9,11 @@ original payload or recomputes it.
 
 import numpy as np
 import pytest
+from checkpoint_entries import stage_entry
 from test_golden import GOLDEN, build_case, result_digest
 
 from repro import QSCPipeline
 from repro.exceptions import ClusteringError
-from repro.pipeline import checkpoint
 from repro.store import ContentStore, configure_store, get_store
 
 
@@ -89,22 +89,22 @@ class TestStoreCorruption:
 
 class TestPipelineCheckpointCorruption:
     def test_corrupt_stage_checkpoint_recomputes_to_golden(self, tmp_path):
-        """A resume over a damaged run-dir checkpoint heals that stage."""
+        """A resume over a damaged save_stages entry heals that stage."""
         graph, k, config = build_case("analytic_shots")
         QSCPipeline(k, config).run(graph, save_stages=tmp_path)
-        path = checkpoint.stage_path(tmp_path, "laplacian")
+        path = stage_entry(tmp_path, graph, config, k, "laplacian")
         flip_byte(path, path.stat().st_size // 2)
 
         resumed = QSCPipeline(k, config).run(
-            graph, resume_from="readout", stages_dir=tmp_path
+            graph, resume_from="readout", save_stages=tmp_path
         )
         assert result_digest(resumed) == GOLDEN["analytic_shots"]
         profile = {row["stage"]: row["source"] for row in resumed.profile}
         assert profile["laplacian"] == "computed"  # healed, not served
         assert profile["threshold"] == "checkpoint"
-        assert not path.exists() or checkpoint.has_stage_checkpoint(
-            tmp_path, "laplacian"
-        )
+        # The recomputed stage was re-published: the directory verifies.
+        assert ContentStore(root=tmp_path).verify()["corrupt"] == []
+        assert path.exists()
 
     def test_corrupt_store_stage_entry_recomputes_to_golden(self, tmp_path):
         """Same healing when the damaged entry lives in the shared store."""
@@ -113,11 +113,7 @@ class TestPipelineCheckpointCorruption:
         QSCPipeline(k, config).run(graph)
 
         store = get_store()
-        fingerprint = _stage_fingerprint(graph, config, k, "laplacian")
-        path = store._entry_path(
-            checkpoint.STAGE_NAMESPACE,
-            checkpoint.store_key("laplacian", fingerprint),
-        )
+        path = stage_entry(store.root, graph, config, k, "laplacian")
         flip_byte(path, path.stat().st_size // 2)
 
         from repro.core.qpe_engine import clear_spectral_cache
@@ -134,27 +130,13 @@ class TestPipelineCheckpointCorruption:
     def test_missing_checkpoint_without_store_stays_a_hard_error(
         self, tmp_path
     ):
-        """Plain absence (no corruption, no store) is still the classic
-        configuration error, not a silent recompute."""
+        """Plain absence of an entry under save_stages (no corruption) is
+        still the classic configuration error, not a silent recompute."""
         graph, k, config = build_case("analytic_shots")
         QSCPipeline(k, config).run(graph, save_stages=tmp_path)
-        checkpoint.stage_path(tmp_path, "laplacian").unlink()
+        stage_entry(tmp_path, graph, config, k, "laplacian").unlink()
         with pytest.raises(ClusteringError, match="no checkpoint"):
             QSCPipeline(k, config).run(
-                graph, resume_from="readout", stages_dir=tmp_path
+                graph, resume_from="readout", save_stages=tmp_path
             )
 
-
-def _stage_fingerprint(graph, config, num_clusters, stage_name):
-    """The context fingerprint the pipeline keys ``stage_name`` under —
-    computed with the pipeline's own stage declarations, so the test
-    addresses the exact entry a run just published."""
-    from repro.pipeline import build_stages
-
-    stage = next(s for s in build_stages() if s.name == stage_name)
-    return checkpoint.context_fingerprint(
-        checkpoint.graph_fingerprint(graph),
-        config,
-        num_clusters if stage.fingerprint_clusters else None,
-        stage.fingerprint_fields,
-    )

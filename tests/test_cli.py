@@ -6,6 +6,7 @@ import pytest
 from repro.cli import main
 from repro.graphs import io as graph_io
 from repro.graphs import mixed_sbm
+from repro.store import ContentStore
 
 
 @pytest.fixture()
@@ -163,12 +164,34 @@ class TestClusterCommand:
                 "128", "--seed", "2", "--save-stages", stages]
         assert main(base) == 0
         full_out = capsys.readouterr().out
-        assert (tmp_path / "stages" / "readout.npz").exists()
+        report = ContentStore(root=stages).disk_report()
+        assert report["namespaces"]["stage"]["entries"] == 5
         assert main(base + ["--resume-from", "readout", "--profile"]) == 0
         resumed_out = capsys.readouterr().out
         # identical labels/summary, and the upstream stages report as loaded
         assert resumed_out.startswith(full_out.split("stage profile:")[0])
         assert "checkpoint" in resumed_out
+
+    def test_resume_from_shared_store(
+        self, graph_file, tmp_path, capsys, pristine_store
+    ):
+        """``--store-dir`` alone is a checkpoint source for
+        ``--resume-from``: the upstream stages load from the shared store."""
+        path, _ = graph_file
+        base = ["cluster", "--input", path, "--clusters", "2", "--shots",
+                "128", "--seed", "2", "--store-dir", str(tmp_path / "cas")]
+        assert main(base) == 0
+        full_out = capsys.readouterr().out
+        assert main(base + ["--resume-from", "readout", "--profile"]) == 0
+        resumed_out = capsys.readouterr().out
+        assert resumed_out.startswith(full_out)
+        sources = {
+            line.split()[0]: line.split()[3]
+            for line in resumed_out.split("stage profile:")[1].splitlines()
+            if line.strip()
+        }
+        assert sources["laplacian"] == sources["threshold"] == "checkpoint"
+        assert sources["readout"] == "computed"
 
     def test_degraded_shard_run_resumes_to_golden_labels(
         self, tmp_path, capsys, monkeypatch
