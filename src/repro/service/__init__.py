@@ -23,12 +23,14 @@ The ROADMAP's service front end, built on everything PRs 5–7 laid down:
   proves;
 * progress streams as **events** built from the pipeline's telemetry
   profile (per-stage seconds plus ``shards_loaded`` /
-  ``shards_computed`` counters), over JSON lines, ndjson or an RFC 6455
-  WebSocket upgrade (:mod:`repro.service.websocket`).
+  ``shards_computed`` counters), one JSON line per event over both the
+  JSON-line ``events`` op and the HTTP ``/v1/jobs/<id>/events`` route.
 
 Wire protocols live in :mod:`repro.service.protocol`; the versioned
 route/op tables (and the generated ``docs/api.md``) in
-:mod:`repro.service.routes`; ``repro serve`` is the CLI entry point.
+:mod:`repro.service.routes`, which the server matches HTTP requests
+against to run the same ops as the JSON-line surface; ``repro serve``
+is the CLI entry point.
 """
 
 from repro.service.auth import DEFAULT_TENANT, TokenAuthenticator

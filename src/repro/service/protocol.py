@@ -15,11 +15,12 @@ line of each connection:
   ``event`` field) followed by a terminal ``{"ok": true, "done": true,
   ...}`` line.
 * **HTTP/1.1 subset** — a first line that does not start with ``{`` is
-  parsed as an HTTP request line.  Routes live under ``/v1`` (legacy
-  unversioned paths 301-redirect there); bearer tokens travel in the
-  ``Authorization`` header; the event stream is newline-delimited JSON
-  with ``Connection: close`` framing, or WebSocket frames when the
-  request carries an RFC 6455 upgrade (:mod:`repro.service.websocket`).
+  parsed as an HTTP request line.  Routes live under ``/v1`` and each
+  runs one of the ops above (:data:`repro.service.routes.ROUTES`); a
+  request body may not exceed :data:`MAX_LINE_BYTES`, the cap on one
+  JSON line; bearer tokens travel in the ``Authorization`` header; the
+  event stream is the same JSON lines (``application/x-ndjson``) with
+  ``Connection: close`` framing.
 
 Everything here is framing only — no job semantics.  Both sides are
 stdlib-only by design (``json`` + sockets), so any client that can open
@@ -32,14 +33,12 @@ import json
 
 from repro.service.errors import ProtocolError
 
-#: Maximum bytes of one protocol line (guards ``readline`` buffering).
+#: Maximum bytes of one protocol line or HTTP request body.
 MAX_LINE_BYTES = 1 << 20
 
 _HTTP_REASONS = {
-    101: "Switching Protocols",
     200: "OK",
     202: "Accepted",
-    301: "Moved Permanently",
     400: "Bad Request",
     401: "Unauthorized",
     404: "Not Found",
@@ -78,8 +77,8 @@ def http_response(
 ) -> bytes:
     """One complete HTTP response with a JSON body.
 
-    ``headers`` adds extra response headers (``Location`` on the legacy
-    301 redirects, ``Retry-After`` on load-shed 429s).
+    ``headers`` adds extra response headers (``Allow`` on 405s,
+    ``Retry-After`` on load-shed 429s).
     """
     body = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
     extra = "".join(

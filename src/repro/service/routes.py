@@ -1,20 +1,23 @@
 """The versioned service surface, declared as data.
 
-``API_VERSION`` prefixes every HTTP path (``/v1/...``); legacy
-unversioned paths answer ``301 Moved Permanently`` for one release.
+``API_VERSION`` prefixes every HTTP path (``/v1/...``); a path no
+route matches answers 404.
 ``PROTOCOL_VERSION`` is the JSON-line protocol's integer version,
 carried in every ``ping``/``hello`` reply so clients can refuse a
 server they do not understand.
 
 The tables below are the single source of truth for the wire surface:
-the server routes against them, ``docs/api.md`` embeds the markdown
-:func:`render_api_reference` produces (checked generated, see
+the server matches every HTTP request against :data:`ROUTES`
+(:func:`match_route`) and runs the JSON-line op the route names, so
+both wire surfaces share one dispatcher; ``docs/api.md`` embeds the
+markdown :func:`render_api_reference` produces (checked generated, see
 ``tools/lint_api_surface.py``), and the tests assert the two never
 drift.  Adding a route means editing exactly one tuple here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.service.errors import ERROR_CODES
@@ -28,22 +31,25 @@ PROTOCOL_VERSION = 1
 
 @dataclass(frozen=True)
 class Route:
-    """One HTTP route: method, versioned path, meaning, status surface."""
+    """One HTTP route: method, versioned path, the op it runs, meaning,
+    status surface (the first status is the success answer)."""
 
     method: str
     path: str
+    op: str
     description: str
     statuses: tuple[int, ...]
 
 
 #: Every HTTP route the server answers (paths already ``/v1``-prefixed).
 ROUTES = (
-    Route("POST", "/v1/jobs", "submit a job object", (202, 400, 401, 429)),
-    Route("GET", "/v1/jobs", "list this tenant's job statuses", (200, 401)),
-    Route("GET", "/v1/jobs/<id>", "one job's status", (200, 401, 404)),
+    Route("POST", "/v1/jobs", "submit", "submit a job object", (202, 400, 401, 429)),
+    Route("GET", "/v1/jobs", "jobs", "list this tenant's job statuses", (200, 401)),
+    Route("GET", "/v1/jobs/<id>", "status", "one job's status", (200, 401, 404)),
     Route(
         "DELETE",
         "/v1/jobs/<id>",
+        "cancel",
         "cancel (idempotent; `cancelled` reports whether this call changed "
         "anything)",
         (200, 401, 404),
@@ -51,19 +57,21 @@ ROUTES = (
     Route(
         "GET",
         "/v1/jobs/<id>/artifact",
+        "artifact",
         "the finished artifact (409 until the job completes)",
         (200, 401, 404, 409),
     ),
     Route(
         "GET",
         "/v1/jobs/<id>/events",
-        "replay + live event stream; ndjson, or WebSocket when the request "
-        "carries an RFC 6455 upgrade",
-        (101, 200, 401, 404),
+        "events",
+        "replay + live event stream as newline-delimited JSON",
+        (200, 401, 404),
     ),
     Route(
         "GET",
         "/v1/stats",
+        "hello",
         "server identity, job-state counts and load-shed counters",
         (200,),
     ),
@@ -81,13 +89,29 @@ OPS = (
     ("events", "stream the transcript, then live events, then a done marker"),
 )
 
-#: Legacy unversioned path roots that 301-redirect to ``/v1``.
-LEGACY_ROOTS = ("jobs",)
 
+def match_route(path: str) -> Iterator[tuple[Route, str | None]]:
+    """Yield ``(route, job_id)`` for every route whose path matches.
 
-def versioned(path: str) -> str:
-    """Prefix one route path with the current API version."""
-    return f"/{API_VERSION}{path}"
+    ``<id>`` matches exactly one segment (yielded as ``job_id``, else
+    ``None``); empty segments and a query string are ignored.  Several
+    routes share a path and differ by method, so the caller picks the
+    method among the matches (none at all is a 404, no method match a
+    405).
+    """
+    segments = [part for part in path.split("?", 1)[0].split("/") if part]
+    for route in ROUTES:
+        pattern = [part for part in route.path.split("/") if part]
+        if len(pattern) != len(segments):
+            continue
+        job_id = None
+        for want, got in zip(pattern, segments):
+            if want == "<id>":
+                job_id = got
+            elif want != got:
+                break
+        else:
+            yield route, job_id
 
 
 def render_api_reference() -> str:
@@ -100,19 +124,19 @@ def render_api_reference() -> str:
     lines = [
         f"Protocol version: **{PROTOCOL_VERSION}** · "
         f"HTTP surface: **/{API_VERSION}**. "
-        "Legacy unversioned paths answer `301 Moved Permanently` with the "
-        "`/v1` location for one release.",
+        "Each route runs the JSON-line op it names; a path no route "
+        "matches answers 404, a known path with another method 405.",
         "",
         "### HTTP routes",
         "",
-        "| Method | Path | Meaning | Statuses |",
-        "|---|---|---|---|",
+        "| Method | Path | Op | Meaning | Statuses |",
+        "|---|---|---|---|---|",
     ]
     for route in ROUTES:
         statuses = ", ".join(str(s) for s in route.statuses)
         lines.append(
-            f"| {route.method} | `{route.path}` | {route.description} "
-            f"| {statuses} |"
+            f"| {route.method} | `{route.path}` | `{route.op}` "
+            f"| {route.description} | {statuses} |"
         )
     lines += [
         "",

@@ -7,13 +7,14 @@ session, anything else is parsed as an HTTP request (see
 the one event loop; only job execution leaves it, into per-job
 supervisor threads managed by :class:`~repro.service.manager.JobManager`.
 
-The REST surface is versioned under ``/v1`` (legacy unversioned paths
-answer 301 with the new location); the JSON-line ops mirror it one to
-one.  The authoritative route/op tables live in
-:mod:`repro.service.routes` — ``docs/api.md`` is generated from them —
-and every failure is one of the typed errors in
-:mod:`repro.service.errors`, serialized with its ``code`` on both wire
-surfaces.
+There is one op dispatcher, :meth:`JobServer._dispatch`.  A JSON-line
+message names its op; an HTTP request is matched against
+:data:`repro.service.routes.ROUTES` (every path lives under ``/v1``),
+and the matched route names the op it runs.  The event stream is one
+JSON line per event on both surfaces (HTTP adds an ndjson response
+head).  ``docs/api.md`` is generated from the route/op tables, and
+every failure is one of the typed errors in :mod:`repro.service.errors`,
+serialized with its ``code`` on both wire surfaces.
 
 On boot (before accepting connections) the server replays the durable
 job table from the store, re-queueing every job a previous life left
@@ -26,7 +27,6 @@ import asyncio
 import json
 
 from repro.exceptions import ReproError
-from repro.service import websocket
 from repro.service.auth import TokenAuthenticator
 from repro.service.errors import (
     AuthError,
@@ -42,7 +42,7 @@ from repro.service.protocol import (
     http_response,
     http_stream_head,
 )
-from repro.service.routes import API_VERSION, LEGACY_ROOTS, PROTOCOL_VERSION
+from repro.service.routes import API_VERSION, PROTOCOL_VERSION, match_route
 
 
 class JobServer:
@@ -177,9 +177,7 @@ class JobServer:
             op = message.get("op")
             if op == "events":
                 tenant = self._authenticate(message.get("token"))
-                await self._stream_events(
-                    str(message.get("job")), writer, encode_line, tenant
-                )
+                await self._stream_events(str(message.get("job")), writer, tenant)
                 return
             reply = self._dispatch(op, message)
         except ReproError as error:
@@ -188,7 +186,11 @@ class JobServer:
         await writer.drain()
 
     def _dispatch(self, op, message: dict) -> dict:
-        """Non-streaming ops; raises a typed service error on failure."""
+        """Run one non-streaming op for either wire surface.
+
+        Returns the JSON-line reply (``ok: true`` plus the op's fields);
+        raises a typed service error on failure.
+        """
         manager = self.manager
         if op == "ping":
             return {"ok": True, "pong": True, "protocol_version": PROTOCOL_VERSION}
@@ -221,28 +223,29 @@ class JobServer:
         raise ProtocolError(f"unknown op {op!r}")
 
     async def _stream_events(
-        self, job_id: str, writer, frame, tenant: str | None = None
+        self, job_id: str, writer, tenant: str | None = None, head: bytes = b""
     ) -> None:
         """Replay a job's transcript, then stream live events to terminal.
 
-        ``frame`` turns one event object into wire bytes — the same
-        streaming core serves the JSON-line op, the ndjson route and the
-        WebSocket upgrade.
+        One JSON line per event, then a ``done`` marker.  ``head`` (the
+        HTTP response head) goes out only once ``subscribe`` has accepted
+        the job, so a 404 still arrives as a plain error reply.
         """
         replay, queue = self.manager.subscribe(job_id, tenant)
+        writer.write(head)
         try:
             for event in replay:
-                writer.write(frame(event))
+                writer.write(encode_line(event))
             await writer.drain()
             if queue is not None:
                 while True:
                     event = await queue.get()
                     if event is None:
                         break
-                    writer.write(frame(event))
+                    writer.write(encode_line(event))
                     await writer.drain()
             state = self.manager.get(job_id, tenant).state
-            writer.write(frame({"ok": True, "done": True, "state": state}))
+            writer.write(encode_line({"ok": True, "done": True, "state": state}))
             await writer.drain()
         finally:
             if queue is not None:
@@ -251,145 +254,19 @@ class JobServer:
     # -- HTTP sessions ------------------------------------------------------
 
     async def _http_session(self, first: bytes, reader, writer) -> None:
-        parts = first.decode("latin-1").split()
-        if len(parts) < 2:
-            writer.write(
-                http_response(
-                    400, error_payload(ProtocolError("malformed request line"))
-                )
-            )
-            await writer.drain()
-            return
-        method, target = parts[0].upper(), parts[1]
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length") or 0)
-        if length:
-            body = await reader.readexactly(length)
-        await self._route_http(method, target, headers, body, writer)
-
-    @staticmethod
-    def _bearer_token(headers: dict) -> str | None:
-        value = headers.get("authorization", "")
-        if value.lower().startswith("bearer "):
-            return value[len("bearer ") :].strip() or None
-        return None
-
-    async def _route_http(self, method, target, headers, body, writer) -> None:
-        manager = self.manager
-        path = target.split("?", 1)[0].rstrip("/")
-        segments = [part for part in path.split("/") if part]
-        if segments and segments[0] == API_VERSION:
-            segments = segments[1:]
-        elif segments and segments[0] in LEGACY_ROOTS:
-            # One release of grace for pre-v1 clients: a permanent
-            # redirect naming the versioned location, nothing served.
-            location = f"/{API_VERSION}{path}"
-            writer.write(
-                http_response(
-                    301,
-                    {"error": "moved permanently", "location": location},
-                    headers={"Location": location},
-                )
-            )
-            await writer.drain()
-            return
         try:
-            if segments == ["stats"] and method == "GET":
-                writer.write(http_response(200, self._server_info()))
-            elif segments == ["jobs"]:
-                tenant = self._authenticate(self._bearer_token(headers))
-                if method == "POST":
-                    try:
-                        job = json.loads(body.decode("utf-8") or "null")
-                    except ValueError as error:
-                        raise ProtocolError(
-                            f"request body is not JSON: {error}"
-                        ) from error
-                    record = manager.submit(job, tenant)
-                    writer.write(http_response(202, record.status()))
-                elif method == "GET":
-                    statuses = [
-                        record.status() for record in manager.jobs(tenant)
-                    ]
-                    writer.write(http_response(200, {"jobs": statuses}))
-                else:
-                    writer.write(
-                        http_response(
-                            405, error_payload(ProtocolError("use GET or POST"))
-                        )
-                    )
-            elif len(segments) == 2 and segments[0] == "jobs":
-                tenant = self._authenticate(self._bearer_token(headers))
-                job_id = segments[1]
-                if method == "GET":
-                    writer.write(
-                        http_response(200, manager.get(job_id, tenant).status())
-                    )
-                elif method == "DELETE":
-                    record, changed = manager.cancel(job_id, tenant)
-                    writer.write(
-                        http_response(
-                            200, {"cancelled": changed, **record.status()}
-                        )
-                    )
-                else:
-                    writer.write(
-                        http_response(
-                            405,
-                            error_payload(ProtocolError("use GET or DELETE")),
-                        )
-                    )
-            elif len(segments) == 3 and segments[0] == "jobs" and method == "GET":
-                tenant = self._authenticate(self._bearer_token(headers))
-                job_id, leaf = segments[1], segments[2]
-                if leaf == "artifact":
-                    writer.write(
-                        http_response(200, manager.artifact(job_id, tenant))
-                    )
-                elif leaf == "events":
-                    manager.get(job_id, tenant)  # 404/401 before any framing
-                    if websocket.wants_upgrade(headers):
-                        writer.write(
-                            websocket.handshake_response(
-                                headers.get("sec-websocket-key", "")
-                            )
-                        )
-                        await writer.drain()
-                        await self._stream_events(
-                            job_id,
-                            writer,
-                            lambda event: websocket.encode_text_frame(
-                                encode_line(event)
-                            ),
-                            tenant,
-                        )
-                        writer.write(websocket.close_frame())
-                    else:
-                        writer.write(http_stream_head(200))
-                        await self._stream_events(
-                            job_id, writer, encode_line, tenant
-                        )
-                    await writer.drain()
-                    return
-                else:
-                    writer.write(
-                        http_response(
-                            404, error_payload(ProtocolError("unknown route"))
-                        )
-                    )
-            else:
-                writer.write(
-                    http_response(
-                        404, error_payload(ProtocolError("unknown route"))
-                    )
-                )
+            parts = first.decode("latin-1").split()
+            if len(parts) < 2:
+                raise ProtocolError("malformed request line")
+            headers = {}
+            while True:
+                line = await reader.readline()
+                if not line or line in (b"\r\n", b"\n"):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            body = await reader.readexactly(_content_length(headers))
+            await self._route_http(parts[0].upper(), parts[1], headers, body, writer)
         except ReproError as error:
             error = as_service_error(error)
             writer.write(
@@ -400,6 +277,56 @@ class JobServer:
                 )
             )
         await writer.drain()
+
+    @staticmethod
+    def _bearer_token(headers: dict) -> str | None:
+        value = headers.get("authorization", "")
+        if value.lower().startswith("bearer "):
+            return value[len("bearer ") :].strip() or None
+        return None
+
+    async def _route_http(self, method, target, headers, body, writer) -> None:
+        """Match ``ROUTES``, then run the route's op through ``_dispatch``."""
+        matches = list(match_route(target))
+        route, job_id = next(
+            ((found, job) for found, job in matches if found.method == method),
+            (None, None),
+        )
+        if route is None:
+            allowed = [found.method for found, _ in matches]
+            if allowed:
+                error = ProtocolError(f"use {' or '.join(allowed)}")
+                head = {"Allow": ", ".join(allowed)}
+                writer.write(http_response(405, error_payload(error), head))
+            else:
+                error = ProtocolError("unknown route")
+                writer.write(http_response(404, error_payload(error)))
+            return
+        message = {"token": self._bearer_token(headers), "job": job_id}
+        if route.op == "events":
+            tenant = self._authenticate(message["token"])
+            await self._stream_events(job_id, writer, tenant, http_stream_head(200))
+            return
+        if route.op == "submit":
+            try:
+                message["spec"] = json.loads(body.decode("utf-8") or "null")
+            except ValueError as error:
+                raise ProtocolError(f"request body is not JSON: {error}") from error
+        reply = self._dispatch(route.op, message)
+        del reply["ok"]
+        if route.op == "artifact":
+            reply = reply["artifact"]
+        writer.write(http_response(route.statuses[0], reply))
+
+
+def _content_length(headers: dict) -> int:
+    """The request body size; anything but 0..MAX_LINE_BYTES is a 400."""
+    raw = headers.get("content-length") or "0"
+    if not (raw.isascii() and raw.isdigit()) or int(raw) > MAX_LINE_BYTES:
+        raise ProtocolError(
+            f"Content-Length must be an integer in 0..{MAX_LINE_BYTES}, got {raw!r}"
+        )
+    return int(raw)
 
 
 def serve(

@@ -10,7 +10,10 @@ import http.client
 import json
 import socket
 
+import pytest
+
 from repro.pipeline.supervisor import InlineShardExecutor
+from repro.service.protocol import MAX_LINE_BYTES
 
 from test_service_faults import _HangingJobExecutor
 
@@ -50,6 +53,8 @@ class TestRestRoutes:
         assert events[-1] == {"ok": True, "done": True, "state": "completed"}
         kinds = [event["event"] for event in events[:-1]]
         assert kinds[0] == "submitted" and kinds[-1] == "completed"
+        # One event stream: the ndjson route and the JSON-line op agree.
+        assert events[:-1] == server.client().events(job_id)
 
         status, body = _request(server, "GET", f"/v1/jobs/{job_id}")
         assert status == 200 and body["state"] == "completed"
@@ -91,6 +96,10 @@ class TestRestRoutes:
         assert _request(server, "DELETE", "/v1/jobs/nope")[0] == 404
         assert _request(server, "GET", "/elsewhere")[0] == 404
         assert _request(server, "PUT", "/v1/jobs")[0] == 405
+        status, body = _request(server, "DELETE", "/v1/jobs/nope/artifact")
+        assert status == 405 and body["error"] == "use GET"
+        assert _request(server, "POST", "/v1/stats")[0] == 405
+        assert _request(server, "GET", "/jobs")[0] == 404  # v1-lint: allow
         status, body = _request(server, "POST", "/v1/jobs", {"experiment": "zzz"})
         assert status == 400 and "unknown experiment" in body["error"]
         assert body["code"] == "invalid_job" and body["retryable"] is False
@@ -104,6 +113,21 @@ class TestRestRoutes:
         connection.close()
         assert response.status == 400
         assert "not JSON" in body["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", str(MAX_LINE_BYTES + 1)])
+    def test_bad_content_length_is_a_bad_request(self, service_server, length):
+        """A non-integer, negative or over-cap length gets a 400 reply, and
+        no body is read."""
+        server = service_server(executor_factory=InlineShardExecutor)
+        request = f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(request.encode("ascii"))
+            raw = sock.makefile("rb").read()
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0].split()[1:2] == [b"400"]
+        body = json.loads(body)
+        assert body["code"] == "protocol" and "Content-Length" in body["error"]
+        assert server.client().jobs() == []
 
     def test_malformed_request_line_is_rejected_not_fatal(
         self, service_server, small_fig1_job

@@ -1,17 +1,19 @@
-"""The versioned API surface: /v1 routes, redirects, typed errors, docs.
+"""The versioned API surface: /v1 routes, typed errors, generated docs.
 
-Pins the api_redesign contracts of this PR: every HTTP route lives under
-``/v1`` and legacy unversioned paths answer 301 with the new location
-(for one release); ``ping``/``hello`` carry ``protocol_version``; both
-wire surfaces speak the one typed error vocabulary of
-:mod:`repro.service.errors`; cancellation is idempotent 200 on both
-paths; and ``docs/api.md`` embeds exactly what the route table renders —
-the docs cannot drift from the server.
+Pins the api contracts: every HTTP route lives under ``/v1`` and
+unversioned paths answer 404 (serving nothing); every route runs the
+JSON-line op it names, so its body is that op's reply minus ``ok``;
+``ping``/``hello`` carry ``protocol_version``; both wire surfaces speak
+the one typed error vocabulary of :mod:`repro.service.errors`;
+cancellation is idempotent 200 on both paths; and ``docs/api.md``
+embeds exactly what the route table renders — the docs cannot drift
+from the server.
 """
 
 import http.client
 import json
 import pathlib
+import socket
 
 import pytest
 
@@ -28,10 +30,13 @@ from repro.service.errors import (
     error_from_payload,
     error_payload,
 )
+from repro.service.protocol import decode_line, encode_line
 from repro.service.routes import (
     API_VERSION,
+    OPS,
     PROTOCOL_VERSION,
     ROUTES,
+    match_route,
     render_api_reference,
 )
 
@@ -50,32 +55,87 @@ def _request(server, method, path, body=None, headers=None):
     )
 
 
-class TestLegacyRedirects:
-    def test_unversioned_paths_301_to_v1(self, service_server, small_fig1_job):
+def _op(server, message):
+    """One JSON-line request → its decoded reply line."""
+    with socket.create_connection((server.host, server.port), timeout=60) as sock:
+        stream = sock.makefile("rwb")
+        stream.write(encode_line(message))
+        stream.flush()
+        return decode_line(stream.readline())
+
+
+class TestUnversionedPaths:
+    def test_unversioned_paths_are_404(self, service_server, small_fig1_job):
         server = service_server(executor_factory=InlineShardExecutor)
         job_id = server.client().submit(small_fig1_job)["job"]
         server.client().events(job_id)
-        for method, path in (  # v1-lint: allow-begin — pinning the redirect
+        for method, path in (  # v1-lint: allow-begin — pinning the 404
             ("GET", "/jobs"),
             ("POST", "/jobs"),
             ("GET", f"/jobs/{job_id}"),
             ("DELETE", f"/jobs/{job_id}"),
             ("GET", f"/jobs/{job_id}/artifact"),
+            ("GET", "/stats"),
         ):  # v1-lint: allow-end
             status, headers, body = _request(server, method, path)
-            assert status == 301, (method, path)
-            assert headers["Location"] == f"/{API_VERSION}{path}"
-            assert body["location"] == f"/{API_VERSION}{path}"
-        # Following the redirect serves the actual resource.
+            assert status == 404, (method, path)
+            assert "Location" not in headers
+            assert body["code"] == "protocol" and body["error"] == "unknown route"
+        # The versioned path serves the resource.
         status, _, body = _request(server, "GET", f"/v1/jobs/{job_id}")
         assert status == 200 and body["state"] == "completed"
 
-    def test_redirect_serves_nothing(self, service_server, small_fig1_job):
-        """A legacy POST must not create a job on its way out."""
+    def test_unversioned_post_creates_nothing(self, service_server, small_fig1_job):
+        """An unversioned submission is a 404 and creates no job."""
         server = service_server(executor_factory=InlineShardExecutor)
         status, _, _ = _request(server, "POST", "/jobs", small_fig1_job)  # v1-lint: allow
-        assert status == 301
+        assert status == 404
         assert server.client().jobs() == []
+
+
+class TestRouteTable:
+    def test_match_route_binds_one_id_segment(self):
+        def matched(path):
+            return [(route.method, route.op, job) for route, job in match_route(path)]
+
+        assert matched("/v1/jobs") == [("POST", "submit", None), ("GET", "jobs", None)]
+        assert matched("/v1/jobs/j7/") == [
+            ("GET", "status", "j7"),
+            ("DELETE", "cancel", "j7"),
+        ]
+        assert matched("/v1/jobs/j7/events?x=1") == [("GET", "events", "j7")]
+        assert matched("/v1/stats") == [("GET", "hello", None)]
+        for path in ("/v1", "/v1/nope", "/v1/jobs/a/b", "/v1/jobs/a/b/events"):
+            assert matched(path) == [], path
+
+    def test_every_route_answers_its_json_line_reply(
+        self, service_server, small_fig1_job
+    ):
+        """Each HTTP body is the JSON-line reply of ``route.op`` minus
+        ``ok`` (``artifact`` unwrapped).  The event stream's parity is
+        pinned by the ndjson lifecycle test in test_service_http."""
+        server = service_server(executor_factory=InlineShardExecutor)
+        job_id = server.client().submit(small_fig1_job)["job"]
+        server.client().events(job_id)  # terminal: later replies are stable
+        ops = {op for op, _ in OPS}
+        # Submissions go last: they add jobs, which moves the listings.
+        for route in sorted(ROUTES, key=lambda route: route.op == "submit"):
+            assert route.op in ops, route
+            if route.op == "events":
+                continue
+            body = small_fig1_job if route.op == "submit" else None
+            status, _, answered = _request(
+                server, route.method, route.path.replace("<id>", job_id), body
+            )
+            assert status == route.statuses[0], route
+            reply = _op(server, {"op": route.op, "job": job_id, "spec": body})
+            assert reply.pop("ok") is True, route
+            if route.op == "artifact":
+                reply = reply["artifact"]
+            if route.op == "submit":
+                # Every submission is a new job; all but the id agree.
+                assert answered.pop("job") != reply.pop("job")
+            assert answered == reply, route
 
 
 class TestProtocolVersion:

@@ -11,7 +11,8 @@ Two checks, both cheap enough for every push:
 2. **No unversioned routes** — README, ``docs/*.md`` and ``tests/**/*.py``
    may not reference the legacy unversioned HTTP paths (``/jobs…``): every
    route mention must carry the ``/v1`` prefix.  A line that *deliberately*
-   exercises the legacy 301 redirect marks itself with ``v1-lint: allow``;
+   names an unversioned path (a test pinning that it answers 404, or the
+   record of the removed redirects) marks itself with ``v1-lint: allow``;
    a run of such lines sits between ``v1-lint: allow-begin`` and
    ``v1-lint: allow-end``.
 
@@ -81,7 +82,7 @@ def check_versioned_routes() -> list[str]:
                 problems.append(
                     f"{path.relative_to(ROOT)}:{number}: unversioned route "
                     f"reference ({line.strip()[:80]!r}) — use /v1/…, or "
-                    f"mark an intentional legacy test with {ALLOW_MARKER!r}"
+                    f"mark an intentional unversioned path with {ALLOW_MARKER!r}"
                 )
     return problems
 

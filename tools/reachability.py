@@ -66,7 +66,6 @@ KEPT = {
     "repro.quantum.qram": SUBROUTINE,
     "repro.quantum.state_prep": SUBROUTINE,
     "repro.quantum.swap_test": SUBROUTINE,
-    "repro.service.routes": "route tables; the renderer feeds lint_api_surface",
 }
 
 #: Base arguments of each CLI subcommand; choice runs vary one option.

@@ -7,7 +7,9 @@ check CI runs on every push:
 1. launch ``python -m repro serve --port 0 --store-dir <tmp>`` as a real
    subprocess and parse the ephemeral port from its readiness line;
 2. submit a one-trial fig1 job over the JSON-line protocol, stream its
-   full event transcript, and fetch the finished artifact;
+   full event transcript, assert the HTTP ``GET /v1/jobs/<id>/events``
+   ndjson stream carries the same lines, and fetch the finished
+   artifact;
 3. run the same sweep through ``python -m repro experiments`` and assert
    the served records are identical to the CLI artifact's;
 4. write the streamed transcript to ``service-transcript.jsonl`` (CI
@@ -27,6 +29,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import http.client
 import json
 import pathlib
 import signal
@@ -114,6 +117,19 @@ def boot_server(
             return process, host, int(port), recovered
     process.kill()
     raise SystemExit(f"server not ready within {BOOT_TIMEOUT:g}s")
+
+
+def http_events(host: str, port: int, job_id: str) -> list[dict]:
+    """Every line of one job's ndjson event stream over HTTP."""
+    connection = http.client.HTTPConnection(host, port, timeout=600)
+    try:
+        connection.request("GET", f"/v1/jobs/{job_id}/events")
+        response = connection.getresponse()
+        assert response.status == 200, f"events route answered {response.status}"
+        raw = response.read()  # Connection: close ends the stream
+    finally:
+        connection.close()
+    return [json.loads(line) for line in raw.splitlines() if line.strip()]
 
 
 def wait_for(predicate, timeout: float, what: str):
@@ -217,6 +233,12 @@ def main() -> int:
             print(f"transcript ({len(transcript)} events): {' '.join(kinds)}")
             assert kinds[-1] == "completed", f"job ended {kinds[-1]!r}"
             assert "stage" in kinds, "no stage telemetry was streamed"
+            streamed = http_events(host, port, submitted["job"])
+            assert streamed[:-1] == transcript, (
+                "the HTTP ndjson stream differs from the JSON-line transcript"
+            )
+            assert streamed[-1] == {"ok": True, "done": True, "state": "completed"}
+            print(f"HTTP event stream OK: {len(streamed) - 1} identical events")
 
             served = client.artifact(submitted["job"])
             validate_artifact(served)
