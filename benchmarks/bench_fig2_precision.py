@@ -113,6 +113,6 @@ def test_bench_precision_sweep(benchmark, quick_trials):
     leak_fine = np.mean([r.extra["bulk_leakage"] for r in rows(7)])
     assert leak_fine < leak_coarse / 5
     # ... while end-to-end accuracy is already saturated (robustness
-    # finding recorded in EXPERIMENTS.md).
+    # finding recorded in docs/experiments.md).
     assert np.mean([r.ari for r in rows(7)]) > 0.85
     assert np.mean([r.ari for r in rows(7)]) >= np.mean([r.ari for r in rows(2)]) - 0.1

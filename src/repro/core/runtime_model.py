@@ -3,7 +3,7 @@
 Combines *measured* classical eigendecomposition times with the *modeled*
 quantum step counts from ``repro.quantum.resources`` (a simulator cannot
 clock quantum hardware — the original evaluation compares step-count
-proxies too, see DESIGN.md).
+proxies too).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ F1          ``repro.experiments.fig1_direction_sweep``
 F2          ``repro.experiments.fig2_precision_sweep``
 F3          ``repro.experiments.fig3_runtime_scaling``
 F4          ``repro.experiments.fig4_shots_sweep``
-A1–A6       ``repro.experiments.ablations``
 ==========  =============================================================
 
 Every figure/table module declares its sweep as a
@@ -19,12 +18,12 @@ unified engine providing process-parallel trials (``jobs``), the spectral
 cache and uniform JSON artifacts (see ``docs/experiments.md``).  Each
 module keeps ``run(...)`` (structured records, legacy-compatible seeds), a
 renderer (``table``/``series``), and ``main()`` which prints the markdown
-quoted in EXPERIMENTS.md.  The matching pytest-benchmark targets live in
-``benchmarks/``; the CLI front end is ``python -m repro experiments``.
+(the sweep map is in ``docs/experiments.md``).  The matching
+pytest-benchmark targets live in ``benchmarks/``; the CLI front end is
+``python -m repro experiments``.
 """
 
 from repro.experiments import (
-    ablations,
     common,
     fig1_direction_sweep,
     fig2_precision_sweep,
@@ -52,7 +51,6 @@ from repro.experiments.runner import (
 )
 
 __all__ = [
-    "ablations",
     "common",
     "fig1_direction_sweep",
     "fig2_precision_sweep",

@@ -3,9 +3,10 @@
 Every experiment module produces a list of :class:`TrialRecord` rows (its
 sweep is declared as a :class:`~repro.experiments.runner.SweepSpec` and
 executed by :class:`~repro.experiments.runner.SweepRunner`); the helpers
-here aggregate those rows over seeds and render the same markdown tables
-EXPERIMENTS.md quotes.  A *method* is any object with a ``fit(graph)``
-returning something with a ``labels`` attribute.
+here aggregate those rows over seeds and render them as the markdown
+tables each module's ``main()`` prints (see ``docs/experiments.md``).  A
+*method* is any object with a ``fit(graph)`` returning something with a
+``labels`` attribute.
 """
 
 from __future__ import annotations

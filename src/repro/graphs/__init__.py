@@ -18,7 +18,6 @@ from repro.graphs.generators import (
     sparse_mixed_sbm,
 )
 from repro.graphs.netlist import GATE_TYPES, Gate, Netlist, synthetic_netlist
-from repro.graphs.hypergraph import EXPANSIONS, Hypergraph, Net
 from repro.graphs.bench_parser import (
     C17_BENCH,
     S27_BENCH,
@@ -48,9 +47,6 @@ __all__ = [
     "Gate",
     "Netlist",
     "synthetic_netlist",
-    "EXPANSIONS",
-    "Hypergraph",
-    "Net",
     "C17_BENCH",
     "S27_BENCH",
     "load_c17",

@@ -1,10 +1,9 @@
 """From-scratch quantum-computing substrate.
 
 Statevector simulation, a circuit IR, gate library, QFT, Pauli algebra,
-Hamiltonian simulation, phase estimation, amplitude-encoding state
-preparation, measurement/tomography models, swap tests, noise channels and
-resource accounting — everything the mixed-graph quantum spectral
-clustering pipeline needs, with no external quantum SDK.
+Hamiltonian simulation, phase estimation, measurement/tomography models,
+quantum walks, VQE and resource accounting — everything the mixed-graph
+quantum spectral clustering pipeline needs, with no external quantum SDK.
 """
 
 from repro.quantum.circuit import Operation, QuantumCircuit
@@ -40,11 +39,6 @@ from repro.quantum.phase_estimation import (
     qpe_outcome_distributions,
     run_qpe,
 )
-from repro.quantum.state_prep import (
-    amplitude_encode,
-    state_preparation_circuit,
-    state_prep_resources,
-)
 from repro.quantum.measurement import (
     counts_to_probabilities,
     sample_distribution,
@@ -52,29 +46,6 @@ from repro.quantum.measurement import (
     tomography_estimate_batch,
     expectation_from_counts,
 )
-from repro.quantum.swap_test import (
-    swap_test_circuit,
-    estimate_overlap,
-    estimate_distance_squared,
-)
-from repro.quantum.noise import NoiseModel, noisy_run, noisy_sample_counts
-from repro.quantum.density_matrix import (
-    DensityMatrix,
-    amplitude_damping_kraus,
-    bitflip_kraus,
-    depolarizing_kraus,
-    noisy_circuit_density,
-    phase_damping_kraus,
-)
-from repro.quantum.amplitude import (
-    amplitude_amplification,
-    amplitude_estimation,
-    amplification_schedule,
-    grover_operator,
-    mle_amplitude_estimation,
-    success_probability,
-)
-from repro.quantum.qram import KPTree, QRAM
 from repro.quantum.walks import (
     QuantumWalk,
     directed_cycle,
@@ -118,34 +89,11 @@ __all__ = [
     "qpe_outcome_distribution",
     "qpe_outcome_distributions",
     "run_qpe",
-    "amplitude_encode",
-    "state_preparation_circuit",
-    "state_prep_resources",
     "counts_to_probabilities",
     "sample_distribution",
     "tomography_estimate",
     "tomography_estimate_batch",
     "expectation_from_counts",
-    "swap_test_circuit",
-    "estimate_overlap",
-    "estimate_distance_squared",
-    "NoiseModel",
-    "noisy_run",
-    "noisy_sample_counts",
-    "DensityMatrix",
-    "amplitude_damping_kraus",
-    "bitflip_kraus",
-    "depolarizing_kraus",
-    "noisy_circuit_density",
-    "phase_damping_kraus",
-    "amplitude_amplification",
-    "amplitude_estimation",
-    "amplification_schedule",
-    "grover_operator",
-    "mle_amplitude_estimation",
-    "success_probability",
-    "KPTree",
-    "QRAM",
     "QPEResources",
     "qpe_resources",
     "quantum_pipeline_step_count",

@@ -4,13 +4,12 @@ Two paths produce the unitary U = exp(i H t) needed by phase estimation:
 
 ``exact_evolution``
     Eigendecompose H once and exponentiate the spectrum.  This stands in for
-    the fault-tolerant Hamiltonian-simulation oracle assumed by the paper
-    (see the substitution table in DESIGN.md).
+    the fault-tolerant Hamiltonian-simulation oracle assumed by the paper.
 
 ``trotter_evolution``
     First- or second-order (Suzuki) product formula over the Pauli
-    decomposition of H.  This is the gate-level-honest path whose error is
-    an explicit ablation (experiment A1).
+    decomposition of H.  This is the gate-level-honest path; its error
+    against the exact path is :func:`trotter_error`.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ def trotter_evolution(
 def trotter_error(
     hamiltonian: np.ndarray, time: float, steps: int, order: int = 1
 ) -> float:
-    """Spectral-norm error ||Trotter − exact|| for the ablation study."""
+    """Spectral-norm error ||Trotter − exact|| of the product formula."""
     exact = exact_evolution(hamiltonian, time)
     approx = trotter_evolution(hamiltonian, time, steps=steps, order=order)
     return float(np.linalg.norm(exact - approx, ord=2))

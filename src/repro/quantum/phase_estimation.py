@@ -9,8 +9,8 @@ Provides both:
 
       Pr[y | φ] = sin²(2^p π Δ_y) / (4^p sin²(π Δ_y)),  Δ_y = φ − y/2^p,
 
-  which the scalable ``analytic`` backend samples directly (see DESIGN.md,
-  substitution table).  Property tests assert the two agree.
+  which the scalable ``analytic`` backend samples directly.  Property tests
+  assert the two agree.
 * :func:`qpe_outcome_distributions` — the batched form: the full
   (phases × outcomes) response matrix in one broadcast pass, which is how
   the analytic backend's kernel cache builds its entries; the scalar

@@ -93,7 +93,8 @@ JOB_NAMESPACE = "job"
 #: submitted job plus one index entry (see
 #: :mod:`repro.service.jobtable`), written through the same atomic
 #: temp-file + checksum path as every other entry so a job row is either
-#: fully the old version or fully the new one after any crash.
+#: fully the old version or fully the new one after any crash.  The disk
+#: budget never evicts these entries.
 JOBTABLE_NAMESPACE = "jobtable"
 
 #: File suffix of on-disk entries.
@@ -451,7 +452,11 @@ class ContentStore:
         self._enforce_disk_budget()
 
     def _enforce_disk_budget(self, max_bytes: int | None = None) -> int:
-        """Evict oldest entries until the disk tier fits its budget."""
+        """Evict oldest entries until the disk tier fits its budget.
+
+        Job-table entries count toward the budget but are never evicted:
+        they are the service's durable state, not a cache.
+        """
         if self._root is None:
             return 0
         budget = self.max_disk_bytes if max_bytes is None else int(max_bytes)
@@ -466,6 +471,8 @@ class ContentStore:
             for path, size, _ in entries:
                 if total <= budget:
                     break
+                if path.parent.parent.name == JOBTABLE_NAMESPACE:
+                    continue
                 try:
                     path.unlink()
                     self._count(path.parent.parent.name, "disk_evictions")

@@ -10,6 +10,7 @@ from repro.graphs import (
     cyclic_flow_sbm,
     ensure_connected,
     load_c17,
+    load_s27,
     mixed_sbm,
     parse_bench,
     random_mixed_graph,
@@ -213,6 +214,24 @@ class TestBenchParser:
     def test_undriven_input_net_rejected(self):
         with pytest.raises(GraphError):
             parse_bench("b = NOT(a)\n")
+
+
+class TestS27:
+    def test_s27_loads_and_validates(self):
+        netlist = load_s27()
+        netlist.validate()
+        assert netlist.num_gates == 17
+
+    def test_s27_has_sequential_elements(self):
+        graph = load_s27().to_mixed_graph(net_cliques=False)
+        # three DFFs -> three undirected fan-in couplings
+        assert graph.num_edges == 3
+        assert graph.num_arcs > 10
+
+    def test_s27_roundtrip(self):
+        netlist = load_s27()
+        back = parse_bench(write_bench(netlist), name="s27rt")
+        assert sorted(back.gate_names()) == sorted(netlist.gate_names())
 
 
 class TestGraphIO:

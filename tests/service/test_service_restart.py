@@ -28,6 +28,8 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
+
 import repro
 from repro.experiments.runner import SweepRunner, job_fingerprint, spec_from_job
 from repro.pipeline.supervisor import InlineShardExecutor
@@ -144,6 +146,32 @@ class TestQueuedRecovery:
 
         first, second = asyncio.run(second_life())
         assert (first, second) == (1, 0)
+
+
+class TestStoreBudget:
+    QUEUED_ROW = {
+        "id": "j0001",
+        "tenant": "default",
+        "spec": {"experiment": "fig1"},
+        "fingerprint": "f" * 32,
+        "state": "queued",
+        "attempts": 0,
+        "error": None,
+        "events": [],
+    }
+
+    def test_job_rows_survive_disk_budget_pressure(self, tmp_path, pristine_store):
+        store = ContentStore(root=tmp_path / "store", max_disk_bytes=200_000)
+        table = JobTable(store)
+        table.save_row(self.QUEUED_ROW)
+        table.save_index(["j0001"], 2)
+        for index in range(4):  # 4 x 64 KiB of cache pushes past the budget
+            store.put("spectral", f"k{index}", {"a": np.zeros(8192)})
+        assert store.counters()["disk_evictions"] > 0
+        store.gc()
+        rows, next_id = JobTable(ContentStore(root=tmp_path / "store")).load()
+        assert rows == [self.QUEUED_ROW]
+        assert next_id == 2
 
 
 class TestRunningAndDriftedRows:

@@ -1,11 +1,9 @@
 """Tests for the experiment harness (reduced-scale runs of every module)."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments import (
-    ablations,
     aggregate,
     fig1_direction_sweep,
     fig2_precision_sweep,
@@ -107,33 +105,3 @@ class TestQuickRuns:
         errors = {r.parameters["shots"]: r.extra["embedding_error"] for r in records}
         assert errors[1024] < errors[64]
         assert "embed_err" in fig4_shots_sweep.series(records)
-
-    def test_a1(self):
-        rows = ablations.trotter_ablation(steps_list=(1, 8), orders=(2,))
-        by_steps = {r["steps"]: r for r in rows}
-        assert by_steps[8]["unitary_error"] < by_steps[1]["unitary_error"]
-
-    def test_a2(self):
-        rows = ablations.theta_ablation(
-            thetas=(np.pi / 16, np.pi / 2), num_nodes=36, trials=2
-        )
-        assert rows[-1]["ari_mean"] > rows[0]["ari_mean"]
-
-    def test_a3(self):
-        rows = ablations.noise_ablation(depolarizing_rates=(0.0, 0.05), shots=300)
-        assert rows[1]["qpe_tv_distance"] > rows[0]["qpe_tv_distance"]
-
-    def test_a4(self):
-        rows = ablations.autok_ablation(cluster_counts=(2,), trials=2, shots=8192)
-        assert rows[0]["quantum_hit_rate"] >= 0.5
-
-    def test_a5(self):
-        rows = ablations.vqe_ablation(trials=1, layers=2, num_nodes=6)
-        assert rows[0]["subspace_fidelity"] > 0.9
-
-    def test_a6(self):
-        rows = ablations.expansion_ablation(trials=2)
-        by_style = {r["expansion"]: r["ari_mean"] for r in rows}
-        # both expansions recover module structure well above chance
-        assert by_style["clique"] > 0.4
-        assert by_style["star"] > 0.3

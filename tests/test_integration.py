@@ -2,8 +2,7 @@
 
 These tests pin the relationships the architecture relies on — e.g. that
 the quantum projector rows really are the isometric image of the classical
-spectral embedding, that the QRAM rotation cascade agrees with the circuit
-state-prep, and that every front end (dense, Lanczos, VQE, QPE)
+spectral embedding, and that every front end (dense, Lanczos, VQE, QPE)
 lands in the same low subspace.
 """
 
@@ -18,21 +17,8 @@ from repro import (
     mixed_sbm,
 )
 from repro.core.qpe_engine import AnalyticQPEBackend
-from repro.graphs import (
-    Hypergraph,
-    ensure_connected,
-    hermitian_laplacian,
-    load_c17,
-    load_s27,
-    synthetic_netlist,
-)
-from repro.metrics import partition_summary
-from repro.quantum import (
-    KPTree,
-    QuantumCircuit,
-    VQESolver,
-    state_preparation_circuit,
-)
+from repro.graphs import ensure_connected, hermitian_laplacian, load_c17, load_s27
+from repro.quantum import VQESolver
 from repro.spectral import (
     dense_lowest_eigenpairs,
     lanczos_lowest_eigenpairs,
@@ -101,43 +87,7 @@ class TestQuantumClassicalEquivalence:
         assert adjusted_rand_index(truth, quantum.labels) == 1.0
 
 
-class TestDataLoadingChain:
-    def test_kptree_angles_match_circuit_state_prep(self):
-        rng = np.random.default_rng(0)
-        vector = rng.normal(size=8)
-        tree = KPTree(vector)
-        circuit_state = state_preparation_circuit(vector).statevector()
-        assert np.allclose(
-            circuit_state.amplitudes, tree.amplitude_encoding(), atol=1e-9
-        )
-
-    def test_kptree_first_angle_matches_circuit_rotation(self):
-        vector = np.array([3.0, 0.0, 0.0, 4.0])
-        tree = KPTree(vector)
-        theta = tree.rotation_angle(0, 0)
-        qc = QuantumCircuit(2)
-        qc.ry(theta, 0)
-        probs = qc.statevector().marginal_probabilities([0])
-        # qubit-0 marginal must equal the top-level mass split (9/25, 16/25)
-        assert np.isclose(probs[0], 9 / 25)
-        assert np.isclose(probs[1], 16 / 25)
-
-
 class TestNetlistChain:
-    def test_netlist_to_hypergraph_to_partition(self):
-        netlist = synthetic_netlist(2, 12, internal_fanin=3, seed=0)
-        hypergraph = Hypergraph.from_netlist(netlist)
-        graph = hypergraph.to_mixed_graph("clique")
-        ensure_connected(graph, seed=0)
-        config = QSCConfig(precision_bits=7, shots=1024, theta=float(np.pi / 4), seed=1)
-        result = QuantumSpectralClustering(2, config).fit(graph)
-        truth = netlist.module_labels()
-        # hypergraph-native and graph metrics must both see the partition
-        assert hypergraph.connectivity_cut(result.labels) >= 0
-        summary = partition_summary(graph, result.labels)
-        assert summary["cut_weight"] >= 0
-        assert adjusted_rand_index(truth, result.labels) > 0.3
-
     def test_both_embedded_benchmarks_cluster(self):
         for loader in (load_c17, load_s27):
             graph = loader().to_mixed_graph(net_cliques=True)

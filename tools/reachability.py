@@ -24,6 +24,10 @@ called.  Modules that define no functions at all (re-export hubs,
 exception and constant tables) are listed apart: a call trace cannot
 see them.  Everything the runs write goes to a temporary directory.
 
+The exit code is 1 when an entry point fails, when a zero-call module is
+missing from ``KEPT``, or when a ``KEPT`` entry names a module that no
+longer exists or is now called; otherwise 0.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/reachability.py
@@ -52,20 +56,13 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-ABLATIONS = "ablation scans, kept by docs/experiments.md"
-SUBROUTINE = "paper subroutine the analytic path replaces by a closed form"
-
-#: Zero-call modules kept on purpose, with the reason recorded for each.
+#: Zero-call modules kept on purpose.  A module stays only as the oracle a
+#: tier-1 test checks entry-point code against; the reason names that test.
 KEPT = {
-    "repro.experiments.ablations": ABLATIONS,
-    "repro.graphs.hypergraph": ABLATIONS,
-    "repro.quantum.noise": ABLATIONS,
-    "repro.spectral.gap": ABLATIONS,
-    "repro.quantum.density_matrix": "exact reference for noise.noisy_run",
-    "repro.quantum.amplitude": SUBROUTINE,
-    "repro.quantum.qram": SUBROUTINE,
-    "repro.quantum.state_prep": SUBROUTINE,
-    "repro.quantum.swap_test": SUBROUTINE,
+    "repro.spectral.gap": (
+        "oracle for core.autok in tests/core/test_autok_vqe.py::TestAutoK"
+        "::test_agrees_with_classical_eigengap"
+    ),
 }
 
 #: Base arguments of each CLI subcommand; choice runs vary one option.
@@ -369,6 +366,11 @@ def main() -> int:
         print(f"  {name:36s} {reason}")
     print(f"declarations only, invisible to a call trace ({len(declarations)}):")
     print("  " + ", ".join(declarations))
+    unkept = [name for name in zero if name not in KEPT]
+    failures += [f"{name} has zero calls and is not in KEPT" for name in unkept]
+    for name in sorted(set(KEPT) - set(zero)):
+        state = "is called" if name in modules else "no longer exists"
+        failures.append(f"KEPT names {name}, which {state}")
     for failure in failures:
         print(f"FAILED: {failure}")
     return 1 if failures else 0
